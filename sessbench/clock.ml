@@ -1,0 +1,3 @@
+(* Monotonic nanoseconds; reading the clock allocates nothing. *)
+let now () = Int64.to_int (Monotonic_clock.now ())
+let seconds ns = float_of_int ns *. 1e-9
