@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: `make check`.
 
-.PHONY: all build test check ci bench bench-par bench-sense bench-session bench-sched bench-compile bench-trace bench-net bench-check clean
+.PHONY: all build test check ci bench bench-par bench-sense bench-session bench-sched bench-trace bench-net bench-check clean
 
 all: build
 
@@ -92,13 +92,6 @@ bench-sched:
 	echo "bench-sched: jobs 1/2/4 $$(cat /tmp/sched-1.digest) identical"
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 
-# Rewrites just BENCH_compile.json: the flat-table strategy walk vs the
-# interpreted Mealy walk over a 512-slot Levin prefix, with the
-# decode+compile LRU hit rate — the >= 3x speedup and <= 10% miss
-# gates compare against it.
-bench-compile:
-	BENCH_ONLY=compile dune exec --profile release bench/main.exe
-
 # Rewrites just BENCH_trace.json: the tracing-overhead table on the
 # compact control kernel (no sink / null / metrics / binary ring /
 # jsonl), whose ring and null rows the gate pins against hard
@@ -117,7 +110,7 @@ bench-net:
 
 # The perf-regression gate: quick re-measure, compare against the
 # committed BENCH_trace.json + BENCH_par.json + BENCH_sense.json +
-# BENCH_session.json + BENCH_compile.json + BENCH_net.json, write
+# BENCH_session.json + BENCH_net.json, write
 # BENCH_check.json, exit 1 on any regression.
 bench-check:
 	dune exec --profile release bench/main.exe -- --check

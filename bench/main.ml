@@ -1,6 +1,6 @@
 (* Benchmark driver.
 
-   Eight parts:
+   Seven parts:
    1. Regenerate every experiment table/figure — the paper has no
       evaluation section, so these tables ARE the evaluation; see
       EXPERIMENTS.md for the claim-by-claim mapping.
@@ -14,13 +14,11 @@
       -> BENCH_sense.json.
    6. Supervised session engine under chaos conditions
       -> BENCH_session.json.
-   7. Strategy compilation & the decode+compile cache
-      -> BENCH_compile.json.
-   8. The network goal family: topology delivery rounds, ARQ
+   7. The network goal family: topology delivery rounds, ARQ
       forwarding under faults, shared-medium contention
       -> BENCH_net.json.
 
-   `--check` re-measures 3-8 quickly and gates them against the
+   `--check` re-measures 3-7 quickly and gates them against the
    committed BENCH files; `--jobs N` sets the ambient pool width. *)
 
 open Bechamel
@@ -1398,215 +1396,7 @@ let print_session () =
   Printf.printf "wrote BENCH_session.json (%d conditions x %d job counts)\n"
     (List.length runs) (List.length session_jobs)
 
-(* Part 7: strategy compilation & the decode+compile cache
-   -> BENCH_compile.json.
-
-   The compile layer's claim is a constant-factor one: lowering a
-   decoded Mealy strategy to a flat table (lib/compile) makes the
-   per-round step a single array load, and the Enum.cached memo makes
-   the Levin schedule's revisits free — phase k re-decodes candidates
-   0..k-1 in every later phase, so a ladder prefix touches few
-   distinct indices many times.  As in Part 5, the gated numbers are
-   RATIOS, which transfer across hosts:
-   - compile_compiled_vs_uncompiled_pct: wall clock of the
-     compiled+cached ladder walk as a percentage of the uncompiled
-     walk (fresh decode + interpreted step per slot) over the same
-     schedule prefix.  Gated <= 33.4% — the ">= 3x candidate
-     steps/sec" acceptance bar.
-   - compile_cache_miss_pct: LRU misses as a percentage of accesses
-     over the prefix.  Deterministic (misses = distinct indices
-     visited), gated <= 10%.
-   Absolute ms and steps/sec are informational with the loose
-   cross-host tolerance. *)
-
-module Ctable = Goalcom_compile.Table
-module Compiled = Goalcom_compile.Compiled
-
-(* 8-state machines over the 6-symbol channel alphabet: 48 transition
-   cells, so a decode (and the encode hiding in the default
-   machine-user name) costs real work relative to a capped slot. *)
-let compile_machines = Mealy.enumerate ~states:8 ~inputs:6 ~outputs:6
-let compile_read = Machine_user.read_world_int ~cap:6
-let compile_write = Machine_user.write_world_sym
-let compile_slots = 512
-let compile_budget_cap = 16
-
-(* The first [compile_slots] Levin slots with budgets capped so the
-   walk is decode-bound the way a real ladder's early phases are (an
-   uncapped 512-slot prefix reaches budgets of 2^31). *)
-let compile_schedule () =
-  Seq.take compile_slots
-    (Seq.map
-       (fun (s : Levin.slot) -> { s with Levin.budget = min s.budget compile_budget_cap })
-       (Levin.schedule ()))
-
-let compile_obs r =
-  { Io.User.from_server = Msg.Silence; from_world = Msg.Int (r land 7); round = r }
-
-(* Walk the ladder prefix: per slot, resolve the candidate through the
-   enumeration (the decode or cache-hit under test) and run it for the
-   slot's budget.  Returns total candidate steps. *)
-let compile_walk enum =
-  let rng = Rng.make 42 in
-  let card =
-    match Enum.cardinality enum with Some c -> c | None -> max_int
-  in
-  let steps = ref 0 in
-  Seq.iter
-    (fun { Levin.index; budget } ->
-      let user = Enum.get_exn enum (index mod card) in
-      let inst = Strategy.Instance.create user in
-      for r = 1 to budget do
-        ignore (Strategy.Instance.step rng inst (compile_obs r));
-        incr steps
-      done)
-    (compile_schedule ());
-  !steps
-
-let compile_uncompiled_enum () =
-  Machine_user.user_class ~read:compile_read ~write:compile_write
-    compile_machines
-
-let compile_compiled_enum () =
-  Compiled.cached_user_class ~capacity:Compiled.default_cache_capacity
-    ~read:compile_read ~write:compile_write compile_machines
-
-(* [(variant, (steps, best seconds per walk))], plus the cache counters
-   of one cold compiled walk.  Each compiled sample starts a fresh
-   cache — a run's ladder starts cold, and the hit rate is then a
-   deterministic function of the schedule prefix. *)
-let measure_compile ~repeats () =
-  let time_best f =
-    ignore (f ());
-    let best = ref infinity and steps = ref 0 in
-    for _ = 1 to repeats do
-      Gc.full_major ();
-      let t0 = Unix.gettimeofday () in
-      steps := f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      best := min !best dt
-    done;
-    (!steps, !best)
-  in
-  let uncompiled =
-    let enum = compile_uncompiled_enum () in
-    time_best (fun () -> compile_walk enum)
-  in
-  let compiled =
-    time_best (fun () -> compile_walk (fst (compile_compiled_enum ())))
-  in
-  let enum, lru = compile_compiled_enum () in
-  ignore (compile_walk enum);
-  ( [ ("uncompiled", uncompiled); ("compiled", compiled) ],
-    (Goalcom_automata.Lru.hits lru, Goalcom_automata.Lru.misses lru) )
-
-(* The measurement flattened to the gate's vocabulary — the same names
-   Bench_gate.metrics_of_json extracts from BENCH_compile.json. *)
-let compile_metrics (runs, (hits, misses)) =
-  let open Goalcom_obs.Bench_gate in
-  let steps, un_s = List.assoc "uncompiled" runs in
-  let _, co_s = List.assoc "compiled" runs in
-  let accesses = max 1 (hits + misses) in
-  [
-    { name = "compile_compiled_vs_uncompiled_pct";
-      value = 100. *. co_s /. un_s };
-    { name = "compile_cache_miss_pct";
-      value = 100. *. float_of_int misses /. float_of_int accesses };
-    { name = "compile_speedup_x"; value = un_s /. co_s };
-    { name = "uncompiled/ksteps_per_sec";
-      value = float_of_int steps /. un_s /. 1e3 };
-    { name = "compiled/ksteps_per_sec";
-      value = float_of_int steps /. co_s /. 1e3 };
-    { name = "uncompiled/walk_ms"; value = un_s *. 1e3 };
-    { name = "compiled/walk_ms"; value = co_s *. 1e3 };
-  ]
-
-(* Hard acceptance thresholds, as in Part 5: fresh above the threshold
-   is a regression regardless of the committed file.  [speedup_x] and
-   the steps/sec rates are informational (they are the same
-   measurements inverted; gating them too would judge one number
-   thrice). *)
-let compile_gates =
-  let open Goalcom_obs.Bench_gate in
-  [
-    { name = "compile_compiled_vs_uncompiled_pct"; value = 33.4 };
-    { name = "compile_cache_miss_pct"; value = 10. };
-  ]
-
-let compile_comparisons ~baseline ~measured () =
-  let module Gate = Goalcom_obs.Bench_gate in
-  let fresh = compile_metrics measured in
-  let ms_only =
-    List.filter (fun (m : Gate.metric) -> Filename.check_suffix m.name "_ms")
-      baseline
-  in
-  Gate.compare_metrics ~baseline:ms_only ~fresh ()
-  @ Gate.compare_metrics
-      ~tol_pct:(fun _ -> 0.)
-      ~slack:(fun _ -> 0.)
-      ~baseline:compile_gates ~fresh ()
-
-let print_compile () =
-  print_endline "\n==================================================";
-  print_endline " Strategy compilation & decode cache (Levin ladder)";
-  print_endline "==================================================";
-  let ((runs, (hits, misses)) as measured) = measure_compile ~repeats:5 () in
-  let rows =
-    List.map
-      (fun (variant, (steps, t)) ->
-        [
-          variant;
-          string_of_int compile_slots;
-          string_of_int steps;
-          Printf.sprintf "%.2f" (t *. 1e3);
-          Printf.sprintf "%.0f" (float_of_int steps /. t /. 1e3);
-        ])
-      runs
-  in
-  Table.print
-    (Table.make ~title:"compiled vs uncompiled ladder walk"
-       ~columns:[ "variant"; "slots"; "steps"; "ms/walk"; "ksteps/s" ]
-       rows);
-  let metrics = compile_metrics measured in
-  let get n =
-    let open Goalcom_obs.Bench_gate in
-    (List.find (fun m -> m.name = n) metrics).value
-  in
-  Printf.printf
-    "speedup %.1fx (acceptance: >= 3x), cache %d hits / %d misses (%.1f%% \
-     miss; acceptance: <= 10%%)\n"
-    (get "compile_speedup_x") hits misses (get "compile_cache_miss_pct");
-  let oc = open_out "BENCH_compile.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"seed\": 42,\n\
-    \  \"slots\": %d,\n\
-    \  \"budget_cap\": %d,\n\
-    \  \"unit\": \"ms\",\n\
-    \  \"compile_compiled_vs_uncompiled_pct\": %.4f,\n\
-    \  \"compile_cache_miss_pct\": %.4f,\n\
-    \  \"compile_speedup_x\": %.2f,\n\
-    \  \"results\": [\n\
-     %s\n\
-    \  ]\n\
-     }\n"
-    compile_slots compile_budget_cap
-    (get "compile_compiled_vs_uncompiled_pct")
-    (get "compile_cache_miss_pct")
-    (get "compile_speedup_x")
-    (String.concat ",\n"
-       (List.map
-          (fun variant ->
-            Printf.sprintf
-              "    {\"name\": %S, \"walk_ms\": %.4f, \"ksteps_per_sec\": %.1f}"
-              variant
-              (get (variant ^ "/walk_ms"))
-              (get (variant ^ "/ksteps_per_sec")))
-          [ "uncompiled"; "compiled" ]));
-  close_out oc;
-  Printf.printf "wrote BENCH_compile.json (%d metrics)\n" (List.length metrics)
-
-(* Part 8: the network goal family -> BENCH_net.json.
+(* Part 7: the network goal family -> BENCH_net.json.
 
    lib/net's claims are behavioural and deterministic, so the gate
    pins them exactly, exactly as Part 6 does for the session engine:
@@ -2021,20 +1811,6 @@ let check () =
           ~fresh ()
         @ hard
   in
-  let compile_cmp =
-    match Gate.load_file "BENCH_compile.json" with
-    | Error e ->
-        Printf.eprintf "bench --check: %s\n" e;
-        exit 2
-    | Ok compile_baseline ->
-        Printf.printf
-          "bench --check: re-measuring the compiled ladder walk (%d slots, \
-           budget cap %d)...\n\
-           %!"
-          compile_slots compile_budget_cap;
-        let measured = measure_compile ~repeats:3 () in
-        compile_comparisons ~baseline:compile_baseline ~measured ()
-  in
   let net_cmp =
     match Gate.load_file "BENCH_net.json" with
     | Error e ->
@@ -2054,8 +1830,7 @@ let check () =
           ~baseline:net_baseline ~fresh:(net_metrics measured) ()
   in
   let comparisons =
-    trace_comparisons @ par_comparisons @ sense_cmp @ session_cmp
-    @ compile_cmp @ net_cmp
+    trace_comparisons @ par_comparisons @ sense_cmp @ session_cmp @ net_cmp
   in
   Table.print (Gate.table comparisons);
   let verdict = Gate.verdict_json comparisons in
@@ -2067,8 +1842,7 @@ let check () =
   | [] ->
       Printf.printf
         "bench --check: PASS (%d metrics vs %s + BENCH_par.json + \
-         BENCH_sense.json + BENCH_session.json + BENCH_compile.json + \
-         BENCH_net.json)\n"
+         BENCH_sense.json + BENCH_session.json + BENCH_net.json)\n"
         (List.length comparisons) baseline_path
   | regs ->
       Printf.printf "bench --check: FAIL (%d of %d metrics regressed)\n"
@@ -2086,7 +1860,6 @@ let () =
     | Some "par" -> print_par ()
     | Some "sense" -> print_sense ()
     | Some "session" -> print_session ()
-    | Some "compile" -> print_compile ()
     | Some "net" -> print_net ()
     | _ ->
         print_experiments ();
@@ -2095,5 +1868,4 @@ let () =
         print_par ();
         print_sense ();
         print_session ();
-        print_compile ();
         print_net ()

@@ -551,11 +551,9 @@ let population_of_mix ?warm ~sessions = function
   | `Net -> E19_net_matrix.population ~sessions ()
 
 (* Warm-start stores: known winning candidate indices per session
-   class, persisted as JSONL (lib/compile Warm).  Loading a missing
+   class, persisted as JSONL (Goalcom_harness.Warm).  Loading a missing
    file is an empty store; a corrupt file degrades to a cold start
    (Warm.hints rejects it with a Trace.Warm event). *)
-
-module Warm = Goalcom_compile.Warm
 
 let warm_arg =
   Arg.(value & opt (some string) None

@@ -123,9 +123,3 @@ let tabulate ~name n f =
   make ~name ~card:n (fun i -> if i < n then Some (f i) else None)
 
 let naturals = make ~name:"naturals" (fun i -> Some i)
-
-let cached ?name ~capacity t =
-  let name = match name with Some n -> n | None -> t.name in
-  let lru = Lru.create ~capacity in
-  ({ name; card = t.card; get = (fun i -> Lru.find_or_add lru i t.get) }, lru)
-

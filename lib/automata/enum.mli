@@ -60,11 +60,3 @@ val tabulate : name:string -> int -> (int -> 'a) -> 'a t
 
 val naturals : int t
 (** 0, 1, 2, ... *)
-
-val cached : ?name:string -> capacity:int -> 'a t -> 'a t * 'a option Lru.t
-(** [cached ~capacity t] memoizes [get] through a bounded {!Lru} cache
-    shared by every consumer of the returned enumeration (domain-safe —
-    see {!Lru}).  The underlying [get] must be pure.  [capacity 0]
-    disables caching (pass-through).  The cache is returned alongside
-    for hit-rate accounting and tests.  The cardinality and name (by
-    default) are unchanged. *)

@@ -1,15 +1,14 @@
 (** Deterministic arrival-rate processes for the session engine.
 
-    Generalises the old [arrivals_per_tick] integer into a process the
-    engine samples once per tick: how many of the not-yet-arrived
-    sessions join now.  All sampling is driven by a dedicated
-    {!Goalcom_prelude.Rng} stream, and the Poisson sampler uses no
-    libm functions, so draws are bit-identical across hosts and jobs
-    counts.  [Bang] and [Constant] consume no randomness at all —
+    A process the engine samples once per tick: how many of the
+    not-yet-arrived sessions join now.  All sampling is driven by a
+    dedicated {!Goalcom_prelude.Rng} stream, and the Poisson sampler
+    uses no libm functions, so draws are bit-identical across hosts
+    and jobs counts.  [Bang] and [Constant] consume no randomness at all —
     engine runs that use them keep their pre-existing digests. *)
 
 type t =
-  | Bang  (** the whole population arrives at tick 1 (the old [0]) *)
+  | Bang  (** the whole population arrives at tick 1 (the default) *)
   | Constant of int  (** a fixed batch per tick *)
   | Poisson of float  (** open-loop arrivals at a mean rate per tick *)
   | Mmpp of { rates : float array; switch : float }

@@ -55,22 +55,13 @@ type config = {
 }
 
 let config ?(quantum = 32) ?(max_live = 64) ?(queue_capacity = 4096)
-    ?arrivals_per_tick ?arrivals ?(classes = []) ?(round_budget = 0)
+    ?(arrivals = Arrival.Bang) ?(classes = []) ?(round_budget = 0)
     ?(deadline = 0) ?(max_ticks = 10_000) ?(policy = Policy.default)
     ?(breaker_threshold = 5) ?(breaker_cooldown = 8) () =
   if quantum < 1 then invalid_arg "Engine.config: quantum must be >= 1";
   if max_ticks < 1 then invalid_arg "Engine.config: max_ticks must be >= 1";
   if round_budget < 0 || deadline < 0 then
     invalid_arg "Engine.config: negative budget/deadline";
-  let arrivals =
-    (* [?arrivals] wins; the integer knob is kept for callers predating
-       rate processes (0 = everything at tick 1, as before). *)
-    match (arrivals, arrivals_per_tick) with
-    | Some a, _ -> a
-    | None, None | None, Some 0 -> Arrival.Bang
-    | None, Some k when k > 0 -> Arrival.Constant k
-    | None, Some _ -> invalid_arg "Engine.config: negative arrivals"
-  in
   {
     quantum;
     max_live;

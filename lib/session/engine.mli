@@ -88,7 +88,6 @@ val config :
   ?quantum:int ->
   ?max_live:int ->
   ?queue_capacity:int ->
-  ?arrivals_per_tick:int ->
   ?arrivals:Arrival.t ->
   ?classes:(string * int) list ->
   ?round_budget:int ->
@@ -102,9 +101,7 @@ val config :
 (** Defaults: [quantum = 32], [max_live = 64], [queue_capacity = 4096],
     [arrivals = Arrival.Bang], [classes = \[\]], [round_budget = 0],
     [deadline = 0], [max_ticks = 10_000], [policy = Policy.default],
-    [breaker_threshold = 5], [breaker_cooldown = 8].
-    [?arrivals_per_tick] is the historical integer knob ([0] = [Bang],
-    [k > 0] = [Constant k]); [?arrivals] wins when both are given. *)
+    [breaker_threshold = 5], [breaker_cooldown = 8]. *)
 
 val default_config : config
 

@@ -268,6 +268,34 @@ let test_prob_mealy_validation () =
         (Prob_mealy.make ~states:1 ~inputs:1 ~outputs:1
            ~trans:[| [| Dist.return (0, 7) |] |]))
 
+(* Saturation: class sizes past max_int are reported, not truncated *)
+
+let test_count_saturation () =
+  (* 8 states x 8 inputs x 8 outputs: (8*8)^64 >> max_int. *)
+  Alcotest.(check int) "count saturates" max_int
+    (Mealy.count ~states:8 ~inputs:8 ~outputs:8);
+  let e = Mealy.enumerate ~states:8 ~inputs:8 ~outputs:8 in
+  Alcotest.(check (option int))
+    "saturated class reports None, not max_int" None (Enum.cardinality e);
+  Alcotest.(check bool) "indices still decode" true (Enum.get e 0 <> None);
+  (* A saturating non-final layer would make every layer above it
+     unreachable; historically enumerate_up_to truncated silently. *)
+  Alcotest.(check bool) "enumerate_up_to refuses a saturating layer" true
+    (try
+       ignore (Mealy.enumerate_up_to ~max_states:9 ~inputs:8 ~outputs:8);
+       false
+     with Invalid_argument _ -> true)
+
+let test_append_overflow () =
+  let huge = Enum.make ~name:"huge" ~card:max_int (fun _ -> Some 0) in
+  let one = Enum.make ~name:"one" ~card:1 (fun _ -> Some 1) in
+  Alcotest.(check (option int))
+    "overflowing append is uncountable" None
+    (Enum.cardinality (Enum.append huge one));
+  Alcotest.(check (option int))
+    "small append still counts" (Some 2)
+    (Enum.cardinality (Enum.append one one))
+
 let () =
   Alcotest.run "automata"
     [
@@ -320,5 +348,12 @@ let () =
           Alcotest.test_case "perturb distribution" `Quick test_prob_mealy_perturb_dist;
           Alcotest.test_case "perturb frequencies" `Quick test_prob_mealy_perturb_frequencies;
           Alcotest.test_case "validation" `Quick test_prob_mealy_validation;
+        ] );
+      ( "saturation",
+        [
+          Alcotest.test_case "Mealy.count saturation is explicit" `Quick
+            test_count_saturation;
+          Alcotest.test_case "Enum.append overflow is explicit" `Quick
+            test_append_overflow;
         ] );
     ]

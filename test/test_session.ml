@@ -418,18 +418,6 @@ let test_engine_fairshare_completes () =
   Alcotest.(check int) "all done" 18 r.Engine.completed;
   Alcotest.(check int) "no shed" 0 r.Engine.shed
 
-(* An [arrivals_per_tick] integer still means what it meant. *)
-let test_engine_arrivals_compat () =
-  let digest_of config =
-    (Engine.run ~config ~jobs:1 ~specs:(mix 8) ~seed:17 ()).Engine.digest
-  in
-  Alcotest.(check string) "0 = bang"
-    (digest_of (Engine.config ~arrivals_per_tick:0 ()))
-    (digest_of (Engine.config ~arrivals:Arrival.Bang ()));
-  Alcotest.(check string) "k = constant k"
-    (digest_of (Engine.config ~arrivals_per_tick:2 ()))
-    (digest_of (Engine.config ~arrivals:(Arrival.Constant 2) ()))
-
 (* --- qcheck: crash-restart equivalence (satellite) --------------------
 
    A supervised session interrupted by chaos kills (a
@@ -495,7 +483,6 @@ let suite =
     ("engine deterministic across repeats", `Quick, test_engine_deterministic_across_repeats);
     ("engine fair-share deterministic", `Quick, test_engine_fairshare_deterministic);
     ("engine fair-share completes", `Quick, test_engine_fairshare_completes);
-    ("engine arrivals compat", `Quick, test_engine_arrivals_compat);
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
   ]
 
