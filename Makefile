@@ -1,6 +1,6 @@
 # Tier-1 verification in one command: `make check`.
 
-.PHONY: all build test check ci bench bench-par bench-sense bench-session bench-sched bench-trace bench-net bench-check clean
+.PHONY: all build test check ci bench bench-par bench-sense bench-session bench-sched bench-trace bench-net bench-check sessbench clean
 
 all: build
 
@@ -40,6 +40,7 @@ ci: check
 	dune exec bin/main.exe -- trace diff /tmp/e1.jsonl /tmp/e1.jsonl
 	dune exec bin/main.exe -- trace-golden test/golden
 	git diff --exit-code test/golden
+	python3 sessbench/run.py --workload net --seed 1 --seconds 3 --trace 0
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 
 # Regenerates every experiment table, runs the bechamel kernels, and
@@ -114,6 +115,15 @@ bench-net:
 # BENCH_check.json, exit 1 on any regression.
 bench-check:
 	dune exec --profile release bench/main.exe -- --check
+
+# The session-serving benchmark (sessbench/, declared in BENCHMARK.json)
+# on storm and net at seed 1, untraced, five seconds each.  run.py
+# builds sessbench/main.exe at the release profile; each run prints its
+# end-to-end metrics and, last, one JSON result line, and exits non-zero
+# when one of the benchmark's output checks fails.
+sessbench:
+	python3 sessbench/run.py --workload storm --seed 1 --seconds 5 --trace 0
+	python3 sessbench/run.py --workload net --seed 1 --seconds 5 --trace 0
 
 clean:
 	dune clean

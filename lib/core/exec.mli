@@ -33,6 +33,13 @@ val config : ?horizon:int -> ?drain:int -> ?world_choice:int -> unit -> config
     completion is {e bit-identical} to {!run} — same trace events, same
     RNG consumption, same history — which the golden-trace suite pins.
 
+    A stepper holds O(1) state: the parties, the six messages in
+    flight and the current world view.  It retains no {!History.t};
+    after each executed round it exposes that round ({!last_round},
+    {!world_view}, {!halted}), so a caller folds what it needs — the
+    session engine advances an {!Outcome.fold}, {!run_to_end} records
+    the whole history.
+
     Tracing: {!create} emits [Run_start] under the ambient sink in
     force at creation; each {!step} re-resolves the ambient sink, so an
     engine may install a per-session buffering sink around every
@@ -53,11 +60,10 @@ module Stepper : sig
       the first {!step}. *)
 
   val step : t -> bool
-  (** Execute one round (or, if the termination condition already
-      holds, finalize: build the history and emit [Run_end]).  Returns
-      [true] while the run remains live, [false] once finished.
-      Calling [step] on a finished stepper is a no-op returning
-      [false]. *)
+  (** Execute one round and return [true]; or, if the termination
+      condition already holds, finalize (emit [Run_end]) and return
+      [false].  Calling [step] on a finished stepper is a no-op
+      returning [false]. *)
 
   val finished : t -> bool
 
@@ -73,12 +79,18 @@ module Stepper : sig
 
   val rounds_executed : t -> int
 
-  val history : t -> History.t
-  (** The finished run's history.  @raise Invalid_argument while the
-      run is still live. *)
+  val world_view : t -> Msg.t
+  (** The world state after the last executed round; the initial view
+      before the first. *)
+
+  val last_round : t -> History.Round.t
+  (** The round the last {!step} executed, as a history records it.
+      Allocates the record on each call.  @raise Invalid_argument
+      before the first round. *)
 
   val run_to_end : t -> History.t
-  (** Step until finished and return the history. *)
+  (** Step a fresh stepper until finished, recording every round into
+      a history.  @raise Invalid_argument if it was already stepped. *)
 end
 
 val run :

@@ -38,8 +38,9 @@ val make : initial_world_view:Msg.t -> Round.t list -> t
     and indices 1, 2, ....  @raise Invalid_argument on bad indices. *)
 
 module Builder : sig
-  (** Incremental history construction — what {!Exec}'s stepper uses to
-      record rounds without a cons list + [List.rev] round-trip. *)
+  (** Incremental history construction — what
+      {!Exec.Stepper.run_to_end} uses to record rounds without a cons
+      list + [List.rev] round-trip. *)
 
   type t
 

@@ -73,6 +73,12 @@ let pending_event ((obs : Io.User.obs), (act : Io.User.act)) =
     halted = false;
   }
 
+(* A candidate's act with its halt request dropped (the universal
+   user halts on sensing, not on a candidate's say-so).  Most acts do
+   not halt, and those pass through without a copy. *)
+let unhalted (act : Io.User.act) =
+  if act.Io.User.halt then { act with Io.User.halt = false } else act
+
 type ('strat, 'inst) compact_state = {
   c_memo : 'strat memo;
   c_index : int;
@@ -247,7 +253,7 @@ let compact ?(grace = 1) ?(growth = `Doubling) ?(retries = 0) ?wedge_after
         end
         else (state, stall)
       in
-      let act = { (I.step rng state.c_inst obs) with Io.User.halt = false } in
+      let act = unhalted (I.step rng state.c_inst obs) in
       ( {
           state with
           c_sense = sense_state;
@@ -332,7 +338,7 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
           ~step:(fun rng inst (obs : Io.User.obs) ->
             ignore obs;
             if cancelled () then (inst, Io.User.halt_act)
-            else (inst, { (I.step rng inst obs) with Io.User.halt = false }))
+            else (inst, unhalted (I.step rng inst obs)))
       in
       let config =
         let base = match config with Some c -> c | None -> Exec.config () in
@@ -514,7 +520,7 @@ let finite ?schedule ?checkpoint ?stats ~enum ~sensing () =
           | Some (_, inst) -> inst
           | None -> assert false
         in
-        let act = { (I.step rng inst obs) with Io.User.halt = false } in
+        let act = unhalted (I.step rng inst obs) in
         ( {
             state with
             f_sense = sense_state;

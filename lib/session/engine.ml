@@ -14,11 +14,19 @@ module Fault = Goalcom_faults.Fault
    shared state happens in the sequential phase in a fixed order, the
    whole run is bit-identical across jobs counts.
 
+   Judging: a running session holds its stepper and an Outcome fold,
+   nothing else — no History.  The quantum feeds the fold each round it
+   executes, so the verdict, the violation rounds and the achieved view
+   are ready when the run finishes, and live memory per session stays
+   bounded however long the run.
+
    Tracing: every session owns a buffer; its incarnations' run events
    are captured by installing a buffering sink around stepper creation
    and around each quantum, and the engine appends its own Supervise
-   events directly.  The merged trace — buffers concatenated in
-   session-id order — is replayed into the ambient sink at the end, so
+   and Violation events directly.  The merged trace — buffers
+   concatenated in session-id order — reaches the ambient sink as the
+   run goes: at the end of each tick the longest prefix of settled
+   sessions is replayed and dropped, the rest when the run ends.  So
    Trace.split_runs on one session's slice segments its incarnations
    exactly as it does for the crash-resume harness. *)
 
@@ -118,7 +126,8 @@ type report = {
 type phase =
   | Pending (* not yet arrived *)
   | Waiting (* in the admission queue *)
-  | Running of Exec.Stepper.t
+  | Running of { st : Exec.Stepper.t; verdict : Outcome.fold }
+      (* the live run and its referee fold, advanced together *)
   | Backoff of { due : int }
   | Terminal of outcome
 
@@ -129,7 +138,7 @@ type session = {
   sup_rng : Rng.t; (* feeds backoff jitter *)
   checkpoint : Universal.checkpoint;
   fault : Fault.t; (* this session's chaos storm stack *)
-  buf : Trace.event list ref; (* per-session trace, reversed *)
+  buf : Trace.event Queue.t; (* per-session trace, not yet replayed *)
   mutable phase : phase;
   mutable incarnations : int;
   mutable failures : int;
@@ -167,7 +176,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
           sup_rng;
           checkpoint = Universal.new_checkpoint ();
           fault = Chaos.stack_for chaos ~id;
-          buf = ref [];
+          buf = Queue.create ();
           phase = Pending;
           incarnations = 0;
           failures = 0;
@@ -205,11 +214,10 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     | Some f -> f ~tick ~session:s.id ~action ~detail
     | None -> ());
     if tracing then
-      s.buf :=
-        Trace.Supervise { tick; session = s.id; action; detail } :: !(s.buf)
+      Queue.add (Trace.Supervise { tick; session = s.id; action; detail }) s.buf
   in
   let with_session_sink s f =
-    if tracing then Trace.with_sink (fun ev -> s.buf := ev :: !(s.buf)) f
+    if tracing then Trace.with_sink (fun ev -> Queue.add ev s.buf) f
     else f ()
   in
   let emit_breaker_change s ~tick = function
@@ -228,11 +236,12 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
     with_session_sink s (fun () ->
         let user = s.spec.make_user ~checkpoint:s.checkpoint in
         let server = Fault.apply s.fault s.spec.server in
-        let stepper =
+        let st =
           Exec.Stepper.create ~config:s.spec.exec_config ~goal:s.spec.goal
             ~user ~server s.rng
         in
-        s.phase <- Running stepper)
+        let verdict = Outcome.start s.spec.goal (Exec.Stepper.world_view st) in
+        s.phase <- Running { st; verdict })
   in
   (* Gate a (re)start through the class breaker; true = started. *)
   let try_begin s ~tick ~restarted =
@@ -256,38 +265,14 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
       s.phase <- Backoff { due = tick + wait }
     end
   in
-  (* The achieved goal state: the earliest world view at which the
-     goal's referee accepts the prefix.  For the monotone finite
-     referees this is the view that achieved the goal — stable across
-     restarts and scheduling, unlike the final view (worlds keep
-     evolving after achievement: pages clear, agents wander).  Falls
-     back to the last view when no prefix verdict is [`Ok] (compact
-     referees judged at truncation). *)
-  let achieved_view (goal : Goal.t) history =
-    let init = History.initial_world_view history in
-    let len = History.length history in
-    (* Walk the same view sequence the list-based code walked: the
-       initial view again at position 0, then one view per round,
-       indexed straight out of the history's chunks. *)
-    let view_at j =
-      if j = 0 then init
-      else (History.round_exn history (j - 1)).History.Round.world_view
-    in
-    match Referee.start goal.Goal.referee init with
-    | _, `Ok -> init
-    | judge, `Violation ->
-        let rec go judge j =
-          if j > len then view_at len
-          else begin
-            let judge, verdict = Referee.step judge (view_at j) in
-            if verdict = `Ok then view_at j else go judge (j + 1)
-          end
-        in
-        go judge 0
-  in
-  let succeed s ~tick history =
+  (* [state] is the achieved goal state: the earliest world view at
+     which the goal's referee accepts the prefix.  For the monotone
+     finite referees this is the view that achieved the goal — stable
+     across restarts and scheduling, unlike the final view (worlds keep
+     evolving after achievement: pages clear, agents wander). *)
+  let succeed s ~tick verdict =
     emit_breaker_change s ~tick (Breaker.record_success (breaker_of s));
-    let state = Msg.to_string (achieved_view s.spec.goal history) in
+    let state = Msg.to_string (Outcome.accepted_view verdict) in
     sup s ~tick "done"
       (Printf.sprintf "rounds=%d incarnations=%d" s.rounds_total
          s.incarnations);
@@ -296,12 +281,41 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
   in
   let terminal s = match s.phase with Terminal _ -> true | _ -> false in
   let all_terminal () = Array.for_all terminal sessions in
+  (* Bounded trace capture: the merged trace is the session buffers in
+     id order, so the longest prefix of ids whose buffers can no longer
+     grow is replayed into the ambient sink at the end of each tick and
+     dropped.  A terminal session's buffer is final unless a group
+     arbiter still runs for it: a group member joins the prefix only
+     once its whole group is terminal. *)
+  let groups_of = Array.make n [] in
+  List.iter
+    (fun g ->
+      Array.iter (fun id -> groups_of.(id) <- g :: groups_of.(id)) g.members)
+    groups;
+  let settled s =
+    terminal s
+    && List.for_all
+         (fun g -> Array.for_all (fun id -> terminal sessions.(id)) g.members)
+         groups_of.(s.id)
+  in
+  let flushed = ref 0 in
+  let replay_upto ~ok =
+    while !flushed < n && ok sessions.(!flushed) do
+      let s = sessions.(!flushed) in
+      Queue.iter Trace.emit s.buf;
+      Queue.clear s.buf;
+      incr flushed
+    done
+  in
   let next_arrival = ref 0 in
   (* Split after every per-session stream: runs whose arrival process
      draws nothing (Bang / Constant) keep their historical digests. *)
   let arrival_rng = Rng.split root in
   let arrival_state = Arrival.start config.arrivals in
   let tick = ref 0 in
+  (* The running sessions of the current tick, in id order; refilled
+     in place every tick. *)
+  let runnable = Array.copy sessions in
   (* One long-lived shard task per domain: oversubscribing domains
      past the hardware turns the minor-GC stop-the-world sync into
      pure overhead, so the pool width is clamped to the host (results
@@ -383,41 +397,48 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
            shard only advances steppers nothing else touches, trace
            events land in per-session buffers (replayed in id order),
            and the round-count bookkeeping is per-session too. *)
-        let running =
-          Array.of_list
-            (Array.to_list sessions
-            |> List.filter_map (fun s ->
-                   match s.phase with
-                   | Running st -> Some (s, st)
-                   | _ -> None))
-        in
-        let m = Array.length running in
+        let m = ref 0 in
+        for id = 0 to n - 1 do
+          match sessions.(id).phase with
+          | Running _ ->
+              runnable.(!m) <- sessions.(id);
+              incr m
+          | _ -> ()
+        done;
+        let m = !m in
         let shards = min m width in
         let tasks =
           Array.init shards (fun k ->
               let lo = m * k / shards and hi = m * (k + 1) / shards in
               fun () ->
                 for i = lo to hi - 1 do
-                  let s, st = running.(i) in
-                  let before = Exec.Stepper.rounds_executed st in
-                  let quantum () =
-                    let rec go k =
-                      if Exec.Stepper.finished st then ()
-                      else if Exec.Stepper.finishing st then
-                        ignore (Exec.Stepper.step st)
-                      else if k > 0 then
-                        if Exec.Stepper.step st then go (k - 1) else ()
-                    in
-                    go config.quantum
-                  in
-                  if tracing then
-                    Trace.with_sink
-                      (fun ev -> s.buf := ev :: !(s.buf))
-                      quantum
-                  else quantum ();
-                  let delta = Exec.Stepper.rounds_executed st - before in
-                  s.inc_rounds <- s.inc_rounds + delta;
-                  s.rounds_total <- s.rounds_total + delta
+                  let s = runnable.(i) in
+                  match s.phase with
+                  | Running { st; verdict } ->
+                      let before = Exec.Stepper.rounds_executed st in
+                      (* Each executed round is judged as it happens:
+                         the fold is the session's only record of it. *)
+                      let quantum () =
+                        let rec go k =
+                          if Exec.Stepper.finished st then ()
+                          else if Exec.Stepper.finishing st then
+                            ignore (Exec.Stepper.step st)
+                          else if k > 0 && Exec.Stepper.step st then begin
+                            Outcome.observe verdict
+                              ~halted:(Exec.Stepper.halted st)
+                              (Exec.Stepper.world_view st);
+                            go (k - 1)
+                          end
+                        in
+                        go config.quantum
+                      in
+                      if tracing then
+                        Trace.with_sink (fun ev -> Queue.add ev s.buf) quantum
+                      else quantum ();
+                      let delta = Exec.Stepper.rounds_executed st - before in
+                      s.inc_rounds <- s.inc_rounds + delta;
+                      s.rounds_total <- s.rounds_total + delta
+                  | _ -> ()
                 done)
         in
         ignore (Goalcom_par.Pool.run pool tasks : unit array);
@@ -443,19 +464,14 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
         Array.iter
           (fun s ->
             (match s.phase with
-            | Running st when Exec.Stepper.finished st ->
-                let history = Exec.Stepper.history st in
-                let outcome =
-                  with_session_sink s (fun () ->
-                      let outcome = Outcome.judge s.spec.goal history in
-                      if tracing then
-                        List.iter
-                          (fun round ->
-                            Trace.emit (Trace.Violation { round }))
-                          outcome.Outcome.violation_rounds;
-                      outcome)
-                in
-                if outcome.Outcome.achieved then succeed s ~tick history
+            | Running { st; verdict } when Exec.Stepper.finished st ->
+                let outcome = Outcome.finish verdict in
+                if tracing then
+                  List.iter
+                    (fun round ->
+                      Queue.add (Trace.Violation { round }) s.buf)
+                    outcome.Outcome.violation_rounds;
+                if outcome.Outcome.achieved then succeed s ~tick verdict
                 else begin
                   sup s ~tick "fail"
                     (Printf.sprintf "unachieved after %d rounds" s.inc_rounds);
@@ -482,6 +498,7 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
                   Terminal (Deadline_exceeded { incarnations = s.incarnations })
             | _ -> ())
           sessions;
+        if tracing then replay_upto ~ok:settled;
         match on_tick with Some f -> f ~tick | None -> ()
       done);
   (* Anything still live when the tick budget ran out. *)
@@ -494,12 +511,9 @@ let run ?(chaos = Chaos.none) ?(config = default_config) ?jobs ?(groups = [])
         match s.phase with Terminal o -> o | _ -> assert false)
       sessions
   in
-  (* Replay the merged trace — session buffers in id order — into the
-     ambient sink that was installed when the engine was entered. *)
-  if tracing then
-    Array.iter
-      (fun s -> List.iter Trace.emit (List.rev !(s.buf)))
-      sessions;
+  (* Replay the rest of the merged trace into the ambient sink that was
+     installed when the engine was entered. *)
+  if tracing then replay_upto ~ok:(fun _ -> true);
   let count f = Array.fold_left (fun acc o -> if f o then acc + 1 else acc) 0 outcomes in
   let completed = count (function Done _ -> true | _ -> false) in
   let done_rounds =

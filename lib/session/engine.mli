@@ -24,12 +24,25 @@
     — outcomes, digest and merged trace — for every [jobs] count and
     across repeats with the same seed and chaos schedule.
 
+    {b Judging.}  A running session keeps its stepper and an
+    {!Goalcom.Outcome.fold}, never a history: the parallel quantum
+    feeds the fold every round it executes, and the sequential phase
+    reads the verdict and the achieved goal state from it.  Live
+    memory per session is bounded however long its runs.
+
     {b Tracing.}  When a sink is ambient at {!run} entry, each
     session's events (its incarnations' run events plus the engine's
     [Trace.Supervise] decisions) are buffered per session and replayed
-    into the sink in session-id order when the run ends, so
-    [Trace.split_runs] on one session's slice segments its
-    incarnations exactly as for a single crash-resume run. *)
+    into the sink in session-id order, so [Trace.split_runs] on one
+    session's slice segments its incarnations exactly as for a single
+    crash-resume run.  The replay runs as the sessions settle: at the
+    end of every tick (before [on_tick]) the buffers of the longest
+    prefix of session ids that are terminal are replayed and dropped —
+    a group member counts only once its whole group is terminal, since
+    its arbiter may still report for it — and whatever remains is
+    replayed when the run ends.  The sink sees the same events in the
+    same order as a single replay at the end, while the engine holds
+    only the buffers of sessions past the settled prefix. *)
 
 (** What one session runs: a goal, a user factory (fresh strategy per
     incarnation, all sharing one {!Goalcom.Universal.checkpoint} so

@@ -401,6 +401,348 @@ let prop_history_length_prefix =
       && History.rounds p = Listx.take n (History.rounds h)
       && History.length p = List.length (History.rounds p))
 
+(* --- the judging fold vs the whole-history judgement it replaced --- *)
+
+(* [Outcome.judge] as it was before judging became one fold: a finite
+   referee decides the whole history once, a compact one lists its
+   violation rounds in one [Referee.violations] pass. *)
+let legacy_judge ?tail_window (goal : Goal.t) history =
+  let rounds = History.length history in
+  let halted = History.halted history in
+  let violation_rounds, achieved =
+    if Referee.is_finite goal.referee then
+      let accepted = Referee.decide_finite goal.referee history in
+      ((if accepted then [] else [ rounds ]), halted && accepted)
+    else
+      let vs = Referee.violations goal.referee history in
+      let window =
+        match tail_window with Some w -> max 1 w | None -> max 1 (rounds / 5)
+      in
+      (vs, rounds > 0 && not (List.exists (fun r -> r > rounds - window) vs))
+  in
+  {
+    Outcome.achieved;
+    halted;
+    halt_round = History.halt_round history;
+    rounds;
+    violations = List.length violation_rounds;
+    violation_rounds;
+    last_violation = Listx.last_opt violation_rounds;
+  }
+
+(* The session engine's former post-hoc achieved-view walk, replayed
+   over a finished history.  It feeds the initial view to the referee
+   twice (once to prime it, once more as position 0).  That is harmless
+   for every library goal: their finite referees are [finite_exists]
+   (re-feeding a view that was not accepted changes nothing) and their
+   compact referees (control, prediction) accept the initial view, so
+   the walk stops before the second feed.  A stateful referee that
+   counts views (like the parity referee below) would see one view too
+   many; the fold feeds each view once. *)
+let achieved_view_walk (goal : Goal.t) history =
+  let init = History.initial_world_view history in
+  let len = History.length history in
+  let view_at j =
+    if j = 0 then init
+    else (History.round_exn history (j - 1)).History.Round.world_view
+  in
+  match Referee.start goal.Goal.referee init with
+  | _, `Ok -> init
+  | judge, `Violation ->
+      let rec go judge j =
+        if j > len then view_at len
+        else
+          let judge, verdict = Referee.step judge (view_at j) in
+          if verdict = `Ok then view_at j else go judge (j + 1)
+      in
+      go judge 0
+
+let fold_over (goal : Goal.t) history =
+  let f = Outcome.start goal (History.initial_world_view history) in
+  History.iter_rounds history ~f:(fun (r : History.Round.t) ->
+      Outcome.observe f ~halted:r.user_halted r.world_view);
+  f
+
+let some_world = Goalcom_goals.Password.world ()
+
+(* Random histories under the referee shapes the library supports,
+   legacy list predicates included. *)
+let prop_fold_eq_legacy_judge =
+  QCheck.Test.make ~count ~name:"Outcome: fold = legacy judge (random)"
+    (QCheck.make QCheck.Gen.(triple history_gen k_gen (0 -- 9)))
+    (fun (h, k, w) ->
+      let bad v = not (view_pred k v) in
+      let referees =
+        [
+          Referee.finite "legacy-parity" (fun views ->
+              Listx.count bad views mod 2 = 0);
+          Referee.compact "legacy-count" (fun views ->
+              Listx.count bad views <= k);
+          Referee.finite_exists "seen-bad" bad;
+          Referee.compact_incremental "head"
+            ~init:(fun _ -> ((), `Ok))
+            ~step:(fun () v -> ((), Referee.verdict_of_bool (view_pred k v)));
+        ]
+      in
+      let tail_window = if w = 0 then None else Some w in
+      List.for_all
+        (fun referee ->
+          let goal = Goal.make ~name:"g" ~worlds:[ some_world ] ~referee in
+          Outcome.judge ?tail_window goal h = legacy_judge ?tail_window goal h
+          && Outcome.finish (fold_over goal h) = legacy_judge goal h)
+        referees)
+
+(* The achieved view agrees with the legacy walk for the referee shapes
+   the library's goals use (see [achieved_view_walk]). *)
+let prop_fold_achieved_view =
+  QCheck.Test.make ~count ~name:"Outcome: achieved view = legacy walk"
+    hk_arb
+    (fun (h, k) ->
+      let bad v = not (view_pred k v) in
+      List.for_all
+        (fun referee ->
+          let goal = Goal.make ~name:"g" ~worlds:[ some_world ] ~referee in
+          Msg.equal
+            (Outcome.accepted_view (fold_over goal h))
+            (achieved_view_walk goal h))
+        [
+          Referee.finite_exists "seen-bad" bad;
+          Referee.compact_incremental "head"
+            ~init:(fun _ -> ((), `Ok))
+            ~step:(fun () v -> ((), Referee.verdict_of_bool (view_pred k v)));
+        ])
+
+(* Every lib/goals and lib/net goal family, each run with the informed
+   user of the server's dialect, the informed user of a wrong dialect
+   and the universal user.  [mk ~d] builds the goal, the three users,
+   the server speaking dialect [d], and the per-round hook a
+   shared-medium station needs (the slot resolution the engine's group
+   arbiter does). *)
+type family = {
+  fam : string;
+  dialects : int list;
+  horizon : int;
+  mk :
+    d:int ->
+    Goal.t * (string * Strategy.user) list * Strategy.server * (unit -> unit);
+}
+
+let families =
+  let open Goalcom_goals in
+  let module Net = Goalcom_net in
+  let rot size = Goalcom_automata.Dialect.enumerate_rotations ~size in
+  let nth size i = Goalcom_automata.Enum.get_exn (rot size) i in
+  let std name ~alphabet ~goal ~informed ~universal ~server =
+    {
+      fam = name;
+      dialects = [ 0; 1 ];
+      horizon = 1_500;
+      mk =
+        (fun ~d ->
+          let wrong = (d + 1) mod alphabet in
+          ( goal,
+            [
+              ("informed", informed (nth alphabet d));
+              ("wrong", informed (nth alphabet wrong));
+              ("universal", universal (rot alphabet));
+            ],
+            server (nth alphabet d),
+            ignore ));
+    }
+  in
+  let maze_scenario =
+    Maze.scenario ~blocked:[ (1, 0); (1, 1) ] ~width:3 ~height:3 ~start:(0, 0)
+      ~target:(2, 0) ()
+  in
+  let topo_scenario = Net.Topo.line ~hops:2 ~payload_alphabet:4 ~payload:2 in
+  let fwd_scenario = Net.Forward.scenario ~payload_alphabet:4 [ 2; 0; 3 ] in
+  [
+    (let alphabet = Printing.min_alphabet in
+     std "printing" ~alphabet ~goal:(Printing.goal ~alphabet ())
+       ~informed:(Printing.informed_user ~alphabet)
+       ~universal:(Printing.universal_user ~alphabet)
+       ~server:(Printing.server ~alphabet));
+    (let alphabet = 6 in
+     std "maze" ~alphabet
+       ~goal:(Maze.goal ~scenarios:[ maze_scenario ] ~alphabet ())
+       ~informed:(Maze.informed_user ~alphabet ~scenario:maze_scenario)
+       ~universal:(Maze.universal_user ~alphabet ~scenario:maze_scenario)
+       ~server:(Maze.server ~alphabet));
+    (let alphabet = Control.min_alphabet in
+     std "control" ~alphabet ~goal:(Control.goal ~alphabet ())
+       ~informed:(Control.informed_user ~alphabet)
+       ~universal:(Control.universal_user ~alphabet)
+       ~server:(Control.server ~alphabet));
+    (let alphabet = Delegation.min_alphabet in
+     std "delegation" ~alphabet ~goal:(Delegation.goal ~alphabet ())
+       ~informed:(Delegation.informed_user ~alphabet)
+       ~universal:(Delegation.universal_user ~alphabet)
+       ~server:(Delegation.server ~alphabet));
+    (let alphabet = Counting.min_alphabet in
+     std "counting" ~alphabet ~goal:(Counting.goal ~alphabet ())
+       ~informed:(Counting.verifier_user ~alphabet)
+       ~universal:(Counting.universal_user ~alphabet)
+       ~server:(Counting.server ~alphabet));
+    (let alphabet = Prediction.min_alphabet in
+     std "prediction" ~alphabet ~goal:(Prediction.goal ~alphabet ())
+       ~informed:(Prediction.teacher_user ~alphabet)
+       ~universal:(Prediction.universal_user ~alphabet)
+       ~server:(Prediction.server ~alphabet));
+    (let alphabet = Transfer.min_alphabet in
+     std "transfer" ~alphabet ~goal:(Transfer.goal ~alphabet ())
+       ~informed:(Transfer.informed_user ~alphabet)
+       ~universal:(Transfer.universal_user ~alphabet)
+       ~server:(Transfer.server ~alphabet));
+    {
+      fam = "password";
+      dialects = [ 3; 6 ];
+      horizon = 200;
+      mk =
+        (fun ~d ->
+          ( Password.goal (),
+            [
+              ("informed", Password.informed_user d);
+              ("wrong", Password.informed_user (d + 1));
+              ("universal", Password.universal_user ~space:8 ());
+            ],
+            Password.server_with_password d,
+            ignore ));
+    };
+    (let alphabet = 5 in
+     std "topo" ~alphabet
+       ~goal:(Net.Topo.goal ~scenarios:[ topo_scenario ] ~alphabet ())
+       ~informed:(Net.Topo.informed_user ~alphabet ~scenario:topo_scenario)
+       ~universal:(Net.Topo.universal_user ~alphabet ~scenario:topo_scenario)
+       ~server:(Net.Topo.server ~alphabet));
+    (let alphabet = 5 in
+     std "forward" ~alphabet
+       ~goal:(Net.Forward.goal ~scenarios:[ fwd_scenario ] ~alphabet ())
+       ~informed:(Net.Forward.informed_user ~alphabet)
+       ~universal:(Net.Forward.universal_user ~alphabet)
+       ~server:(Net.Forward.server ~alphabet ~payload_alphabet:4));
+    {
+      fam = "mac";
+      dialects = [ 0; 1 ];
+      horizon = 400;
+      mk =
+        (fun ~d ->
+          let medium = Net.Medium.create ~ports:1 in
+          ( Net.Mac.goal ~payload_alphabet:4 [ 1; 3 ],
+            [
+              ("informed", Net.Mac.policy ~period:(d + 1) ~offset:d);
+              ("universal", Net.Mac.universal_user ~shift:d ~max_period:3 ());
+            ],
+            Net.Medium.port medium 0,
+            fun () -> Net.Medium.resolve medium ));
+    };
+  ]
+
+let capture f =
+  let events = ref [] in
+  let r = Trace.with_sink (fun ev -> events := ev :: !events) f in
+  (r, List.rev !events)
+
+(* One run driven round by round, the way the session engine drives
+   it: step, feed the fold, then the per-round hook.  The rounds are
+   recorded from [Stepper.last_round] only to compare against the
+   history-based paths. *)
+let live_run ~config ~goal ~user ~server ~between seed =
+  capture (fun () ->
+      let st = Exec.Stepper.create ~config ~goal ~user ~server (Rng.make seed) in
+      let v0 = Exec.Stepper.world_view st in
+      let fold = Outcome.start goal v0 in
+      let rounds = ref [] in
+      while Exec.Stepper.step st do
+        Outcome.observe fold ~halted:(Exec.Stepper.halted st)
+          (Exec.Stepper.world_view st);
+        rounds := Exec.Stepper.last_round st :: !rounds;
+        between ()
+      done;
+      (fold, History.make ~initial_world_view:v0 (List.rev !rounds)))
+
+let same_history a b =
+  Msg.equal (History.initial_world_view a) (History.initial_world_view b)
+  && History.rounds a = History.rounds b
+
+let test_fold_every_family () =
+  List.iter
+    (fun fam ->
+      List.iter
+        (fun d ->
+          List.iteri
+            (fun ui (uname, _) ->
+              List.iter
+                (fun seed ->
+                  let label =
+                    Printf.sprintf "%s d=%d %s seed=%d" fam.fam d uname seed
+                  in
+                  (* Fresh parties per run: a medium port's state lives
+                     in its medium. *)
+                  let fresh () =
+                    let goal, users, server, between = fam.mk ~d in
+                    (goal, snd (List.nth users ui), server, between)
+                  in
+                  let config = Exec.config ~horizon:fam.horizon () in
+                  let goal, user, server, between = fresh () in
+                  let (fold, h), live_events =
+                    live_run ~config ~goal ~user ~server ~between seed
+                  in
+                  let check what ok =
+                    if not ok then Alcotest.failf "%s: %s" label what
+                  in
+                  check "fold = legacy judge"
+                    (Outcome.finish fold = legacy_judge goal h);
+                  check "judge = legacy judge"
+                    (Outcome.judge goal h = legacy_judge goal h);
+                  check "judge = legacy judge (tail window 7)"
+                    (Outcome.judge ~tail_window:7 goal h
+                    = legacy_judge ~tail_window:7 goal h);
+                  check "achieved view = legacy walk"
+                    (Msg.equal (Outcome.accepted_view fold)
+                       (achieved_view_walk goal h));
+                  (* A station's medium needs its slot resolved between
+                     rounds, which neither [Exec.run] nor [run_to_end]
+                     do; the remaining families run all three ways. *)
+                  if fam.fam <> "mac" then begin
+                    let goal, user, server, _ = fresh () in
+                    let h_run, run_events =
+                      capture (fun () ->
+                          Exec.run ~config ~goal ~user ~server (Rng.make seed))
+                    in
+                    let goal, user, server, _ = fresh () in
+                    let h_end, end_events =
+                      capture (fun () ->
+                          Exec.Stepper.run_to_end
+                            (Exec.Stepper.create ~config ~goal ~user ~server
+                               (Rng.make seed)))
+                    in
+                    check "run_to_end history = Exec.run" (same_history h_end h_run);
+                    check "run_to_end events = Exec.run" (end_events = run_events);
+                    check "live history = Exec.run" (same_history h h_run);
+                    check "live events = Exec.run" (live_events = run_events)
+                  end)
+                [ 1; 2; 3 ])
+            (let _, users, _, _ = fam.mk ~d in
+             users))
+        fam.dialects)
+    families
+
+let test_stepper_guards () =
+  let goal = Goalcom_goals.Password.goal () in
+  let st =
+    Exec.Stepper.create ~goal ~user:(Goalcom_goals.Password.informed_user 2)
+      ~server:(Goalcom_goals.Password.server_with_password 2) (Rng.make 1)
+  in
+  Alcotest.check_raises "no round yet"
+    (Invalid_argument "Exec.Stepper.last_round: no round executed") (fun () ->
+      ignore (Exec.Stepper.last_round st));
+  ignore (Exec.Stepper.step st);
+  Alcotest.(check int) "last round index" 1
+    (Exec.Stepper.last_round st).History.Round.index;
+  Alcotest.check_raises "run_to_end wants a fresh stepper"
+    (Invalid_argument "Exec.Stepper.run_to_end: stepper already stepped")
+    (fun () -> ignore (Exec.Stepper.run_to_end st))
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -418,12 +760,19 @@ let suite =
       prop_of_recent_eq_make_twin;
       prop_tolerant_face_and_reference;
       prop_history_length_prefix;
+      prop_fold_eq_legacy_judge;
+      prop_fold_achieved_view;
     ]
 
 let () =
   Alcotest.run "incremental"
     [
       ("equivalence", suite);
+      ( "judge fold",
+        [
+          Alcotest.test_case "every goal family" `Quick test_fold_every_family;
+          Alcotest.test_case "stepper guards" `Quick test_stepper_guards;
+        ] );
       ( "ring buffer",
         [
           Alcotest.test_case "empty view" `Quick test_tolerant_empty_positive;

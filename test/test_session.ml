@@ -457,6 +457,96 @@ let prop_crash_restart_reaches_same_state =
               = Some state)
             [ 1; 2; 4 ])
 
+(* The merged trace reaches the ambient sink as the run goes: once
+   session 0 and its predecessors are terminal, their buffered events
+   are replayed at the end of the tick and dropped, so the sink holds
+   session 0's events before the last tick's [on_tick].  The merged
+   order is unchanged: session slices in id order, the same at every
+   jobs count, shared-medium groups included. *)
+let supervise_ids events =
+  List.filter_map
+    (function Trace.Supervise { session; _ } -> Some session | _ -> None)
+    events
+
+let test_engine_trace_flushes_settled_prefix () =
+  let seen = ref [] and at_tick = ref [] in
+  let on_tick ~tick:_ = at_tick := supervise_ids (List.rev !seen) :: !at_tick in
+  let r =
+    Trace.with_sink
+      (fun ev -> seen := ev :: !seen)
+      (fun () ->
+        Engine.run ~chaos:(chaos_of chaos_spec_small)
+          ~config:(Engine.config ~quantum:16 ~max_live:8 ())
+          ~on_tick ~specs:(mix 20) ~seed:5 ())
+  in
+  Alcotest.(check int) "all done" 20 r.Engine.completed;
+  (match !at_tick with
+  | last :: _ :: _ ->
+      Alcotest.(check bool) "session 0 reached the sink before the last tick"
+        true (List.mem 0 last)
+  | _ -> Alcotest.fail "want at least two ticks");
+  let ids = supervise_ids (List.rev !seen) in
+  Alcotest.(check bool) "session slices in id order" true
+    (List.sort compare ids = ids)
+
+let test_engine_trace_flush_groups () =
+  let record jobs =
+    let specs, groups = E19_net_matrix.population ~mac_users:8 ~sessions:12 () in
+    let buf = ref [] in
+    let r =
+      Trace.with_sink
+        (fun ev -> buf := ev :: !buf)
+        (fun () ->
+          Engine.run ~config:(Engine.config ~quantum:1 ~max_live:6 ()) ~jobs
+            ~groups ~specs ~seed:3 ())
+    in
+    (r.Engine.digest, List.rev !buf)
+  in
+  let d1, t1 = record 1 in
+  let ids = supervise_ids t1 in
+  Alcotest.(check bool) "session slices in id order" true
+    (List.sort compare ids = ids);
+  List.iter
+    (fun jobs ->
+      let d, t = record jobs in
+      Alcotest.(check string) (Printf.sprintf "digest jobs=%d" jobs) d1 d;
+      Alcotest.(check bool) (Printf.sprintf "merged trace jobs=%d" jobs) true (t = t1))
+    [ 2; 4 ];
+  (* An arbiter may report for a member that is already terminal while
+     the rest of its group runs on: such a member's slice must wait for
+     its whole group. *)
+  let calls = ref 0 in
+  let chatty =
+    {
+      Engine.gname = "chatty";
+      members = [| 0; 4 |];
+      arbitrate =
+        (fun ~tick:_ ~report ->
+          incr calls;
+          report ~session:0 ~action:"probe" ~detail:"";
+          report ~session:4 ~action:"probe" ~detail:"");
+    }
+  in
+  let buf = ref [] in
+  ignore
+    (Trace.with_sink
+       (fun ev -> buf := ev :: !buf)
+       (fun () ->
+         Engine.run ~config:(Engine.config ~quantum:4 ~max_live:8 ())
+           ~groups:[ chatty ] ~specs:(mix 6) ~seed:3 ()));
+  let ids = supervise_ids (List.rev !buf) in
+  Alcotest.(check bool) "chatty group: slices in id order" true
+    (List.sort compare ids = ids);
+  let probes =
+    List.length
+      (List.filter
+         (function
+           | Trace.Supervise { action = "probe"; _ } -> true | _ -> false)
+         !buf)
+  in
+  Alcotest.(check int) "chatty group: every report reached the sink"
+    (2 * !calls) probes
+
 let suite =
   [
     ("policy gives up", `Quick, test_policy_gives_up);
@@ -483,6 +573,8 @@ let suite =
     ("engine deterministic across repeats", `Quick, test_engine_deterministic_across_repeats);
     ("engine fair-share deterministic", `Quick, test_engine_fairshare_deterministic);
     ("engine fair-share completes", `Quick, test_engine_fairshare_completes);
+    ("engine trace flushes settled prefix", `Quick, test_engine_trace_flushes_settled_prefix);
+    ("engine trace flush with groups", `Quick, test_engine_trace_flush_groups);
     QCheck_alcotest.to_alcotest prop_crash_restart_reaches_same_state;
   ]
 
