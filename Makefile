@@ -44,8 +44,9 @@ ci: check
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 
 # Regenerates every experiment table, runs the bechamel kernels, and
-# rewrites the BENCH_*.json baselines (fault-layer timings, tracing
-# overhead, parallel scaling) that `bench-check` gates against.
+# rewrites every BENCH_*.json baseline (fault-layer timings, tracing
+# overhead, parallel scaling, judge/sensing kernels, session engine,
+# network family) that `bench-check` gates against.
 #
 # All bench targets build with --profile release: the dev profile
 # compiles with -opaque, which disables cross-module inlining and
@@ -67,10 +68,8 @@ bench-sense:
 	BENCH_ONLY=sense dune exec --profile release bench/main.exe
 
 # Rewrites just BENCH_session.json: the supervised session engine over
-# the storm and overload conditions at jobs 1/4, with the cross-jobs
-# determinism digests re-checked.  BENCH_SESSION_SESSIONS scales the
-# population (default 10000) — only commit a default-scale file, since
-# the gate re-runs at the same scale and pins the counts exactly.
+# the storm and overload conditions at jobs 1/4 (10000 sessions each),
+# with the cross-jobs determinism digests re-checked.
 bench-session:
 	BENCH_ONLY=session dune exec --profile release bench/main.exe
 
@@ -109,10 +108,12 @@ bench-trace:
 bench-net:
 	BENCH_ONLY=net dune exec --profile release bench/main.exe
 
-# The perf-regression gate: quick re-measure, compare against the
-# committed BENCH_trace.json + BENCH_par.json + BENCH_sense.json +
-# BENCH_session.json + BENCH_net.json, write
-# BENCH_check.json, exit 1 on any regression.
+# The perf-regression gate: quick re-measure of every bench part, each
+# record judged by its policy (exact, drift, ceiling, or info = never
+# compared) against the committed BENCH_faults.json + BENCH_trace.json +
+# BENCH_par.json + BENCH_sense.json + BENCH_session.json +
+# BENCH_net.json; writes BENCH_check.json, exits 1 on any regression
+# or on a gated metric missing from the committed file.
 bench-check:
 	dune exec --profile release bench/main.exe -- --check
 

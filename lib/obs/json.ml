@@ -1,9 +1,9 @@
-(* A minimal JSON reader for the observability layer's own files: the
-   JSONL trace lines (Jsonl) and the committed BENCH_*.json baselines
-   (Bench_gate).  Both vocabularies are produced by this repository, so
-   the parser favours clear errors over streaming generality: whole
-   value in memory, integers kept exact, objects as assoc lists in
-   input order. *)
+(* A minimal JSON reader and writer for the observability layer's own
+   files: the JSONL trace lines (Jsonl) and the committed BENCH_*.json
+   baselines (Bench_gate).  Both vocabularies are produced by this
+   repository, so the parser favours clear errors over streaming
+   generality: whole value in memory, integers kept exact, objects as
+   assoc lists in input order. *)
 
 type t =
   | Null
@@ -191,3 +191,82 @@ let number_opt = function
   | _ -> None
 
 let list_opt = function List vs -> Some vs | _ -> None
+
+(* Writing. *)
+
+let add_escaped b s =
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s
+
+(* The shortest of %.15g / %.17g that reads back as the same float, so
+   a written value round-trips exactly; JSON has no NaN or infinity. *)
+let add_float b f =
+  if not (Float.is_finite f) then Buffer.add_string b "null"
+  else begin
+    let s = Printf.sprintf "%.15g" f in
+    let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
+    Buffer.add_string b s;
+    if not (String.contains s '.' || String.contains s 'e') then
+      Buffer.add_string b ".0"
+  end
+
+(* A container of scalars renders on one line, any other container one
+   child per line, two spaces deeper: a BENCH file's header and scalars
+   each get a line, and each "results" entry is one line. *)
+let to_string v =
+  let b = Buffer.create 1024 in
+  let scalar = function List _ | Obj _ -> false | _ -> true in
+  let add_key k =
+    Buffer.add_char b '"';
+    add_escaped b k;
+    Buffer.add_string b "\": "
+  in
+  let rec add indent = function
+    | Null -> Buffer.add_string b "null"
+    | Bool v -> Buffer.add_string b (string_of_bool v)
+    | Int i -> Buffer.add_string b (string_of_int i)
+    | Float f -> add_float b f
+    | String s ->
+        Buffer.add_char b '"';
+        add_escaped b s;
+        Buffer.add_char b '"'
+    | List vs ->
+        seq indent '[' ']' (List.for_all scalar vs)
+          (List.map (fun v indent -> add indent v) vs)
+    | Obj kvs ->
+        seq indent '{' '}'
+          (List.for_all (fun (_, v) -> scalar v) kvs)
+          (List.map (fun (k, v) indent -> add_key k; add indent v) kvs)
+  and seq indent opening closing flat items =
+    Buffer.add_char b opening;
+    if flat then
+      List.iteri
+        (fun i item ->
+          if i > 0 then Buffer.add_string b ", ";
+          item indent)
+        items
+    else begin
+      let inner = indent ^ "  " in
+      List.iteri
+        (fun i item ->
+          Buffer.add_string b (if i > 0 then ",\n" else "\n");
+          Buffer.add_string b inner;
+          item inner)
+        items;
+      Buffer.add_char b '\n';
+      Buffer.add_string b indent
+    end;
+    Buffer.add_char b closing
+  in
+  add "" v;
+  Buffer.contents b

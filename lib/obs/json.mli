@@ -1,6 +1,6 @@
-(** A minimal JSON reader for the observability layer's own artefacts —
-    JSONL trace lines ({!Jsonl.parse_line}) and the committed
-    [BENCH_*.json] baselines ({!Bench_gate}).  Whole-value parsing,
+(** A minimal JSON reader and writer for the observability layer's own
+    artefacts — JSONL trace lines ({!Jsonl.parse_line}) and the
+    committed [BENCH_*.json] baselines ({!Bench_gate}).  Whole-value parsing,
     exact integers, objects as assoc lists in input order.  Not a
     general-purpose JSON library: good errors over streaming. *)
 
@@ -32,3 +32,16 @@ val number_opt : t -> float option
 (** [Int] widened to float, or [Float]. *)
 
 val list_opt : t -> t list option
+
+(** {1 Writing} *)
+
+val add_escaped : Buffer.t -> string -> unit
+(** The body of a JSON string literal (no quotes): quote, backslash and
+    control bytes escaped, every other byte raw. *)
+
+val to_string : t -> string
+(** Render a value, no trailing newline.  A container whose children
+    are all scalars prints on one line; any other container puts each
+    child on its own line, indented two spaces per level.  Floats print
+    in the shortest form that {!parse} reads back as the same float
+    (with a [.0] when integral); NaN and infinities print as [null]. *)

@@ -2,8 +2,9 @@
    on arbitrary events (qcheck), the committed golden files parse back
    and satisfy the standard invariants, span attribution sums exactly
    to the run totals, Trace_diff reports first divergences, and the
-   Bench_gate regression predicate passes identical metrics while
-   failing an injected 50% regression. *)
+   Bench_gate record round-trips through its file and the gate passes
+   identical records while failing a planted regression under every
+   judging policy. *)
 
 open Goalcom
 open Goalcom_harness
@@ -225,63 +226,78 @@ let diff_tail () =
 
 (* Bench_gate *)
 
-let gate_metrics name value = { Obs.Bench_gate.name; value }
+module Gate = Obs.Bench_gate
 
-let sample_metrics =
+let sample_records =
   [
-    gate_metrics "no_sink_overhead_pct" 0.4;
-    gate_metrics "jsonl sink (buffer)/overhead_pct" 120.0;
-    gate_metrics "untraced replica/ms_per_run" 0.057;
+    Gate.record "no_sink_overhead_pct" 0.4;
+    Gate.record "jsonl sink (buffer)/overhead_pct" 120.0;
+    Gate.record "untraced replica/ms_per_run" 0.057;
   ]
+
+let baseline_of records =
+  List.map (fun (r : Gate.record) -> (r.name, r.value)) records
 
 let gate_identical_passes () =
   let cs =
-    Obs.Bench_gate.compare_metrics ~baseline:sample_metrics ~fresh:sample_metrics
-      ()
+    Gate.compare_records ~baseline:(baseline_of sample_records) sample_records
   in
-  Alcotest.(check int) "all compared" (List.length sample_metrics)
+  Alcotest.(check int) "all compared" (List.length sample_records)
     (List.length cs);
-  Alcotest.(check int) "no regressions" 0
-    (List.length (Obs.Bench_gate.regressions cs))
+  Alcotest.(check int) "no regressions" 0 (List.length (Gate.regressions cs))
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
 
 let gate_injected_regression_fails () =
   (* A 50% blowup on a relative (pct) metric must trip the gate. *)
   let fresh =
     List.map
-      (fun (m : Obs.Bench_gate.metric) ->
-        if m.name = "jsonl sink (buffer)/overhead_pct" then
-          { m with Obs.Bench_gate.value = m.value *. 1.5 }
-        else m)
-      sample_metrics
+      (fun (r : Gate.record) ->
+        if r.name = "jsonl sink (buffer)/overhead_pct" then
+          { r with value = r.value *. 1.5 }
+        else r)
+      sample_records
   in
-  let cs = Obs.Bench_gate.compare_metrics ~baseline:sample_metrics ~fresh () in
-  let regs = Obs.Bench_gate.regressions cs in
+  let cs = Gate.compare_records ~baseline:(baseline_of sample_records) fresh in
+  let regs = Gate.regressions cs in
   Alcotest.(check int) "exactly one regression" 1 (List.length regs);
   Alcotest.(check string)
     "the right metric" "jsonl sink (buffer)/overhead_pct"
-    (List.hd regs).Obs.Bench_gate.metric;
-  let verdict = Obs.Bench_gate.verdict_json cs in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    go 0
-  in
+    (List.hd regs).Gate.metric;
+  let verdict = Gate.verdict_json cs in
   Alcotest.(check bool) "verdict says fail" true
-    (contains verdict "\"verdict\": \"fail\"")
+    (contains verdict "\"verdict\": \"fail\"");
+  match Obs.Json.parse verdict with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+      let first =
+        match Obs.Json.member "comparisons" j with
+        | Some (Obs.Json.List (c :: _)) -> c
+        | _ -> Alcotest.fail "verdict has no comparisons"
+      in
+      let field k = Option.bind (Obs.Json.member k first) Obs.Json.number_opt in
+      Alcotest.(check (option (float 0.))) "verdict carries the slack"
+        (Some 10.) (field "slack");
+      Alcotest.(check (option string)) "verdict carries the policy"
+        (Some "drift")
+        (Option.bind (Obs.Json.member "policy" first) Obs.Json.string_opt)
 
 let gate_slack_absorbs_noise () =
   (* Near-zero pct metrics: a big relative move inside the absolute
      slack is noise, not a regression. *)
   Alcotest.(check bool) "0.2 -> 0.9 pct is not a regression" false
-    (Obs.Bench_gate.judge ~tol_pct:35. ~slack:10. ~baseline:0.2 ~fresh:0.9);
+    (Gate.judge ~tol_pct:35. ~slack:10. ~baseline:0.2 ~fresh:0.9);
   Alcotest.(check bool) "120 -> 180 pct is a regression" true
-    (Obs.Bench_gate.judge ~tol_pct:35. ~slack:10. ~baseline:120. ~fresh:180.);
+    (Gate.judge ~tol_pct:35. ~slack:10. ~baseline:120. ~fresh:180.);
   (* Absolute timings: only order-of-magnitude blowups trip the loose
      default. *)
   Alcotest.(check bool) "1.5x on a timing passes" false
-    (Obs.Bench_gate.judge ~tol_pct:300. ~slack:0. ~baseline:0.06 ~fresh:0.09);
+    (Gate.judge ~tol_pct:300. ~slack:0. ~baseline:0.06 ~fresh:0.09);
   Alcotest.(check bool) "5x on a timing fails" true
-    (Obs.Bench_gate.judge ~tol_pct:300. ~slack:0. ~baseline:0.06 ~fresh:0.30)
+    (Gate.judge ~tol_pct:300. ~slack:0. ~baseline:0.06 ~fresh:0.30)
 
 let gate_extraction () =
   let json =
@@ -294,10 +310,8 @@ let gate_extraction () =
   match Obs.Json.parse json with
   | Error e -> Alcotest.fail e
   | Ok j ->
-      let ms = Obs.Bench_gate.metrics_of_json j in
-      let find name =
-        List.find_opt (fun (m : Obs.Bench_gate.metric) -> m.name = name) ms
-      in
+      let ms = Gate.metrics_of_json j in
+      let find name = List.assoc_opt name ms in
       Alcotest.(check int) "four metrics (seed is not gateable)" 4
         (List.length ms);
       Alcotest.(check bool) "top-level pct extracted" true
@@ -306,6 +320,101 @@ let gate_extraction () =
         (find "no sink/overhead_pct" <> None
         && find "no sink/ms_per_run" <> None
         && find "untraced replica/ms_per_run" <> None)
+
+(* One record of every policy, with values that stress the number
+   rendering: integral, long fractions, tiny, large. *)
+let policy_records =
+  [
+    Gate.record ~policy:Exact "mismatch_pct" 0.;
+    Gate.record ~policy:Info "speedup_x" 3148.0;
+    Gate.record ~policy:(Ceiling 25.) "scaling_16k_over_1k" 19.217;
+    Gate.record "storm/jobs1_ms" 2501.3333333333335;
+    Gate.record ~policy:Exact "storm/total_rounds" 1460246.;
+    Gate.record ~policy:(Drift { tol_pct = 15.; slack = 0. })
+      "storm/minor_words_per_round" 257.61;
+    Gate.record ~policy:Info "storm/jobs1_sessions_per_sec" (1. /. 3.);
+    Gate.record "no sink/overhead_pct" 1e-7;
+    Gate.record ~policy:Exact "maze/remote/jobs4_ms" 98.9;
+  ]
+
+let gate_write_roundtrip () =
+  let path = Filename.temp_file "bench_gate" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Gate.write_file path
+        [ ("seed", Obs.Json.Int 1); ("unit", Obs.Json.String "ms") ]
+        policy_records;
+      match Obs.Json.of_file path with
+      | Error e -> Alcotest.fail e
+      | Ok j ->
+          let ms = Gate.metrics_of_json j in
+          List.iter
+            (fun (r : Gate.record) ->
+              match r.policy with
+              | Exact | Drift _ ->
+                  Alcotest.(check (option (float 0.)))
+                    r.name (Some r.value) (List.assoc_opt r.name ms)
+              | Ceiling _ | Info -> ())
+            policy_records;
+          Alcotest.(check (option (list string)))
+            "results grouped in order of first appearance"
+            (Some [ "storm"; "no sink"; "maze/remote" ])
+            (Option.map
+               (List.filter_map (fun e ->
+                    Option.bind (Obs.Json.member "name" e) Obs.Json.string_opt))
+               (Option.bind (Obs.Json.member "results" j) Obs.Json.list_opt)))
+
+let gate_planted_regressions () =
+  let baseline = [ ("a", 10.); ("b", 100.) ] in
+  let regressed records =
+    List.map
+      (fun (c : Gate.comparison) -> c.metric)
+      (Gate.regressions (Gate.compare_records ~baseline records))
+  in
+  Alcotest.(check (list string)) "Exact: any rise fails" [ "a" ]
+    (regressed [ Gate.record ~policy:Exact "a" 11. ]);
+  Alcotest.(check (list string)) "Exact: equal passes" []
+    (regressed [ Gate.record ~policy:Exact "a" 10. ]);
+  let drift = Gate.Drift { tol_pct = 20.; slack = 5. } in
+  Alcotest.(check (list string)) "Drift: within tolerance passes" []
+    (regressed [ Gate.record ~policy:drift "b" 119. ]);
+  Alcotest.(check (list string)) "Drift: beyond tolerance fails" [ "b" ]
+    (regressed [ Gate.record ~policy:drift "b" 121. ]);
+  Alcotest.(check (list string)) "Ceiling: the committed value is ignored"
+    [ "b" ]
+    (regressed [ Gate.record ~policy:(Ceiling 50.) "b" 60. ]);
+  Alcotest.(check (list string)) "Ceiling: under the bound passes" []
+    (regressed [ Gate.record ~policy:(Ceiling 50.) "a" 49. ])
+
+let gate_info_never_compared () =
+  let cs =
+    Gate.compare_records ~baseline:[ ("a", 10.) ]
+      [
+        Gate.record ~policy:Info "a" 100.;
+        Gate.record ~policy:Info "a" 1.;
+        Gate.record ~policy:Info "absent" 5.;
+      ]
+  in
+  Alcotest.(check int) "no comparisons" 0 (List.length cs)
+
+let gate_missing_baseline_fails () =
+  (* A fresh subset of the baseline is legal; a fresh gated record the
+     committed file lacks (a renamed metric) is not. *)
+  let baseline = [ ("a", 1.); ("b", 2.) ] in
+  let subset = Gate.compare_records ~baseline [ Gate.record "a" 1. ] in
+  Alcotest.(check int) "subset passes" 0 (List.length (Gate.regressions subset));
+  let cs =
+    Gate.compare_records ~baseline
+      [ Gate.record "a" 1.; Gate.record ~policy:Exact "renamed" 2. ]
+  in
+  match Gate.regressions cs with
+  | [ c ] ->
+      Alcotest.(check string) "names the metric" "renamed" c.metric;
+      Alcotest.(check bool) "reported missing" true (Gate.missing c);
+      Alcotest.(check bool) "verdict says null baseline" true
+        (contains (Gate.verdict_json cs) "\"baseline\": null")
+  | _ -> Alcotest.fail "expected exactly the renamed metric to fail"
 
 let golden_cases f =
   List.map
@@ -337,5 +446,13 @@ let () =
           Alcotest.test_case "slack and tolerances" `Quick
             gate_slack_absorbs_noise;
           Alcotest.test_case "metric extraction" `Quick gate_extraction;
+          Alcotest.test_case "write/read round trip" `Quick
+            gate_write_roundtrip;
+          Alcotest.test_case "planted regression per policy" `Quick
+            gate_planted_regressions;
+          Alcotest.test_case "info never compared" `Quick
+            gate_info_never_compared;
+          Alcotest.test_case "missing baseline fails" `Quick
+            gate_missing_baseline_fails;
         ] );
     ]
