@@ -17,7 +17,7 @@ check: build test
 
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
 # analytics, parallel smoke, chaos smoke, live-stats smoke, golden
-# drift, bench gate.  Run before pushing.
+# drift, sessbench smokes (net, storm), bench gate.  Run before pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
@@ -41,6 +41,7 @@ ci: check
 	dune exec bin/main.exe -- trace-golden test/golden
 	git diff --exit-code test/golden
 	python3 sessbench/run.py --workload net --seed 1 --seconds 3 --trace 0
+	python3 sessbench/run.py --workload storm --seed 1 --seconds 3 --trace 0
 	BENCH_CHECK_ROUNDS=5 BENCH_CHECK_BUDGET=0.01 dune exec --profile release bench/main.exe -- --check
 
 # Regenerates every experiment table, runs the bechamel kernels, and

@@ -1,19 +1,28 @@
-type t = { width : int; height : int; blocked : (int * int) list }
+type t = {
+  width : int;
+  height : int;
+  blocked : (int * int) list;
+  free : string;
+}
+
 type pos = int * int
 
 let in_bounds t (x, y) = x >= 0 && x < t.width && y >= 0 && y < t.height
-let is_free t p = in_bounds t p && not (List.mem p t.blocked)
+
+let is_free t ((x, y) as p) =
+  in_bounds t p && String.unsafe_get t.free ((y * t.width) + x) = '\001'
 
 let make ~width ~height ?(blocked = []) () =
   if width <= 0 || height <= 0 then
     invalid_arg "Grid.make: non-positive dimensions";
-  let t = { width; height; blocked } in
+  let cells = Bytes.make (width * height) '\001' in
   List.iter
-    (fun p ->
-      if not (in_bounds t p) then
-        invalid_arg "Grid.make: blocked cell out of bounds")
+    (fun (x, y) ->
+      if not (x >= 0 && x < width && y >= 0 && y < height) then
+        invalid_arg "Grid.make: blocked cell out of bounds";
+      Bytes.set cells ((y * width) + x) '\000')
     blocked;
-  t
+  { width; height; blocked; free = Bytes.to_string cells }
 
 let north = 0
 let east = 1

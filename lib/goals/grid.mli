@@ -4,6 +4,9 @@ type t = private {
   width : int;
   height : int;
   blocked : (int * int) list;  (** impassable cells *)
+  free : string;
+      (** row-major free-cell bitmap, ['\001'] at [y * width + x] for a
+          free cell; built once by {!make}, immutable *)
 }
 
 type pos = int * int
@@ -13,7 +16,10 @@ val make : width:int -> height:int -> ?blocked:(int * int) list -> unit -> t
     out of bounds. *)
 
 val in_bounds : t -> pos -> bool
+
 val is_free : t -> pos -> bool
+(** In bounds and not blocked.  O(1): bounds checks plus one byte of the
+    free-cell bitmap — no scan of [blocked], no polymorphic compare. *)
 
 (** Directions are the canonical movement commands. *)
 val north : int

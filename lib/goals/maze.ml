@@ -21,17 +21,54 @@ let server ~alphabet d = Transform.with_dialect d (driver ~alphabet)
 let server_class ~alphabet dialects =
   Transform.dialect_class ~base:(driver ~alphabet) dialects
 
-type scenario = { grid : Grid.t; start : Grid.pos; target : Grid.pos }
+(* Static per-scenario tables, indexed by cell [y * width + x]: the
+   grid never changes, so every plan and every broadcast a session can
+   need is computed once here and shared read-only by all worlds and
+   users built from the scenario, across domains. *)
+type tables = {
+  routes : int list option array;
+      (* [Grid.bfs_path grid cell target] for free cells, [None] for
+         blocked ones (never read: {!route} checks [is_free] first) *)
+  broadcasts : Msg.t array;  (* [Codec.pos_pair cell target] *)
+  says : Io.World.act array;  (* [Io.World.say_user broadcasts.(cell)] *)
+}
+
+type scenario = {
+  grid : Grid.t;
+  start : Grid.pos;
+  target : Grid.pos;
+  tables : tables;
+}
+
+let cell (g : Grid.t) x y = (y * g.width) + x
 
 let scenario ?blocked ~width ~height ~start ~target () =
   let grid = Grid.make ~width ~height ?blocked () in
   if not (Grid.is_free grid start) then invalid_arg "Maze.scenario: bad start";
   if not (Grid.is_free grid target) then invalid_arg "Maze.scenario: bad target";
-  (match Grid.bfs_path grid start target with
+  let pos_of i = (i mod width, i / width) in
+  let routes =
+    Array.init (width * height) (fun i ->
+        let p = pos_of i in
+        if Grid.is_free grid p then Grid.bfs_path grid p target else None)
+  in
+  (match routes.(cell grid (fst start) (snd start)) with
   | Some _ -> ()
   | None -> invalid_arg "Maze.scenario: target unreachable");
-  { grid; start; target }
+  let broadcasts =
+    Array.init (width * height) (fun i -> Codec.pos_pair (pos_of i) target)
+  in
+  let says = Array.map Io.World.say_user broadcasts in
+  { grid; start; target; tables = { routes; broadcasts; says } }
 
+let route s ((x, y) as pos) ((tx, ty) as target) =
+  let sx, sy = s.target in
+  if tx = sx && ty = sy && Grid.is_free s.grid pos then
+    s.tables.routes.(cell s.grid x y)
+  else Grid.bfs_path s.grid pos target
+
+(* World positions are always free cells (the start, then [Grid.move]
+   results), so the broadcast tables cover every state. *)
 let world_of_scenario s =
   World.make
     ~name:
@@ -46,13 +83,15 @@ let world_of_scenario s =
             Grid.move s.grid pos d
         | _ -> pos
       in
-      (pos, Io.World.say_user (Codec.pos_pair pos s.target)))
-    ~view:(fun pos -> Codec.pos_pair pos s.target)
+      let x, y = pos in
+      (pos, s.tables.says.(cell s.grid x y)))
+    ~view:(fun (x, y) -> s.tables.broadcasts.(cell s.grid x y))
 
-let arrived view =
-  match Codec.pos_pair_opt view with
-  | Some (pos, target) -> pos = target
-  | None -> false
+let arrived = function
+  | Msg.Pair (Msg.Pair (Msg.Int x, Msg.Int y), Msg.Pair (Msg.Int tx, Msg.Int ty))
+    ->
+      x = tx && y = ty
+  | _ -> false
 
 let referee = Referee.finite_exists "target-was-reached" arrived
 
@@ -80,23 +119,23 @@ let informed_user ~alphabet ~scenario:s d =
     ~name:(Printf.sprintf "maze-user@%s" (Format.asprintf "%a" Dialect.pp d))
     ~init:(fun () -> Planless)
     ~step:(fun _rng phase (obs : Io.User.obs) ->
-      let info = Codec.pos_pair_opt obs.from_world in
-      match info with
-      | Some (pos, target) when pos = target -> (phase, Io.User.halt_act)
-      | _ -> begin
-          match (phase, info) with
-          | Planless, None -> (Planless, Io.User.silent)
-          | Planless, Some (pos, target) -> begin
-              match Grid.bfs_path s.grid pos target with
-              | Some (dir :: rest) -> (Executing rest, send dir)
-              | Some [] | None -> (Planless, Io.User.silent)
-            end
-          | Executing (dir :: rest), _ -> (Executing rest, send dir)
-          | Executing [], _ -> (Settling 0, Io.User.silent)
-          | Settling k, _ ->
-              if k >= settle_patience then (Planless, Io.User.silent)
-              else (Settling (k + 1), Io.User.silent)
-        end)
+      if arrived obs.from_world then (phase, Io.User.halt_act)
+      else
+        match phase with
+        | Planless -> begin
+            match Codec.pos_pair_opt obs.from_world with
+            | None -> (Planless, Io.User.silent)
+            | Some (pos, target) -> begin
+                match route s pos target with
+                | Some (dir :: rest) -> (Executing rest, send dir)
+                | Some [] | None -> (Planless, Io.User.silent)
+              end
+          end
+        | Executing (dir :: rest) -> (Executing rest, send dir)
+        | Executing [] -> (Settling 0, Io.User.silent)
+        | Settling k ->
+            if k >= settle_patience then (Planless, Io.User.silent)
+            else (Settling (k + 1), Io.User.silent))
 
 let user_class ~alphabet ~scenario:s dialects =
   Enum.map

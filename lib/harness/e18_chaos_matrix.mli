@@ -17,6 +17,12 @@ open Goalcom_prelude
 val title : string
 val claim : string
 
+val corridor : Goalcom_goals.Maze.scenario
+val open_room : Goalcom_goals.Maze.scenario
+(** The mix's two maze scenarios.  Module-level values, so their route
+    and broadcast tables are built once per process and shared by every
+    spec. *)
+
 val specs :
   ?warm:(Warm.entry list, string) result ->
   sessions:int ->

@@ -164,24 +164,9 @@ let prop_dialect_msg_roundtrip =
 
 (* Grid *)
 
-let grid_gen =
-  QCheck.map
-    (fun (seed, w, h) ->
-      let rng = Rng.make seed in
-      let w = w + 2 and h = h + 2 in
-      let blocked =
-        List.filter_map
-          (fun _ ->
-            let p = (Rng.int rng w, Rng.int rng h) in
-            if p = (0, 0) then None else Some p)
-          (Listx.range 0 (w * h / 4))
-      in
-      Goalcom_goals.Grid.make ~width:w ~height:h ~blocked ())
-    QCheck.(triple (int_bound 1_000_000) (int_bound 6) (int_bound 6))
-
 let prop_grid_bfs_valid =
   QCheck.Test.make ~count ~name:"Grid: BFS paths are valid and shortest-ish"
-    QCheck.(pair grid_gen (int_bound 1_000_000))
+    QCheck.(pair Grid_gen.grid (int_bound 1_000_000))
     (fun (g, seed) ->
       let open Goalcom_goals in
       let rng = Rng.make seed in
