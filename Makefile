@@ -16,8 +16,9 @@ test:
 check: build test
 
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
-# analytics, parallel smoke, chaos smoke, live-stats smoke, golden
-# drift, sessbench smokes (net, storm), bench gate.  Run before pushing.
+# analytics, parallel smoke, scheduling smoke, arrival-rate cap, chaos
+# smoke, live-stats smoke, golden drift, sessbench smokes (net, storm),
+# bench gate.  Run before pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2
@@ -25,6 +26,8 @@ ci: check
 	dune exec bin/main.exe -- serve --sessions 2000 --jobs 1 --arrivals poisson:2.5 --class-weights "printing=3,maze-corridor=1" | grep '^digest' > /tmp/sched-1.digest
 	dune exec bin/main.exe -- serve --sessions 2000 --jobs 2 --arrivals poisson:2.5 --class-weights "printing=3,maze-corridor=1" | grep '^digest' > /tmp/sched-2.digest
 	cmp /tmp/sched-1.digest /tmp/sched-2.digest
+	dune build bin/main.exe
+	status=0; timeout 10 ./_build/default/bin/main.exe serve --sessions 8 --arrivals poisson:1e9 2> /tmp/arrival-cap.txt || status=$$?; cat /tmp/arrival-cap.txt; test "$$status" -eq 1 && grep -q 'above the cap' /tmp/arrival-cap.txt
 	dune exec bin/main.exe -- chaos run --sessions 120 --jobs 2 --repeat 2 --check
 	GOALCOM_E18_SESSIONS=60 dune exec bin/main.exe -- run e18 --jobs 2
 	dune exec bin/main.exe -- warm record --sessions 18 --out /tmp/warm.jsonl

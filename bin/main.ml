@@ -597,8 +597,9 @@ let arrivals_arg =
                  poisson:R (open-loop Poisson arrivals at mean rate R \
                  per tick) or mmpp:R1,R2,..[:P] (Markov-modulated \
                  Poisson cycling through the rates with per-tick hop \
-                 probability P, default 0.1).  Sampling is seeded and \
-                 deterministic.")
+                 probability P, default 0.1).  Rates are capped at 1e6 \
+                 per tick; a larger one is rejected.  Sampling is seeded \
+                 and deterministic.")
 
 let class_weights_arg =
   Arg.(value & opt string ""

@@ -12,8 +12,14 @@ type t =
    dispatching on known constructors avoids the polymorphic-compare
    runtime's tag walk.  [compare] keeps exactly the order
    [Stdlib.compare] gave this type (constant constructor first, then
-   declaration order), so any existing sort stays stable. *)
+   declaration order), so any existing sort stays stable.  Physical
+   equality short-cuts [equal]: a [t] holds no floats, so [a == b]
+   implies structural equality, and worlds that hand out one shared
+   broadcast per state make the wedge detector's per-round comparison
+   O(1). *)
 let rec equal a b =
+  a == b
+  ||
   match (a, b) with
   | Silence, Silence -> true
   | Sym a, Sym b | Int a, Int b -> Int.equal a b

@@ -11,7 +11,27 @@ let check_alphabet alphabet =
   if alphabet < min_alphabet then
     invalid_arg "Forward: alphabet must have at least 2 symbols"
 
-type scenario = { doc : int list; alpha : int }
+(* The world's state: the received prefix, its length, and the
+   broadcast built from them — the view [(payload, received)] and the
+   [say_user] act carrying it.  A round that appends nothing returns the
+   same record, so its broadcast is shared and allocates nothing. *)
+type state = {
+  received : int list;
+  len : int;
+  view : Msg.t;
+  act : Io.World.act;
+}
+
+type scenario = {
+  doc : int list;
+  doc_msg : Msg.t; (* [Codec.ints doc], shared by every view *)
+  doc_len : int;
+  empty : state; (* nothing received: every world's start and reset *)
+}
+
+let state_of doc_msg received len =
+  let view = Msg.Pair (doc_msg, Codec.ints received) in
+  { received; len; view; act = Io.World.say_user view }
 
 let scenario ~payload_alphabet doc =
   if doc = [] then invalid_arg "Forward.scenario: empty payload";
@@ -21,7 +41,8 @@ let scenario ~payload_alphabet doc =
       if s < 0 || s >= payload_alphabet then
         invalid_arg "Forward.scenario: payload symbol out of range")
     doc;
-  { doc; alpha = payload_alphabet }
+  let doc_msg = Codec.ints doc in
+  { doc; doc_msg; doc_len = List.length doc; empty = state_of doc_msg [] 0 }
 
 let payload s = s.doc
 
@@ -39,6 +60,7 @@ let relay ?wire ~alphabet ~payload_alphabet () =
          || w.Prob_mealy.outputs <> payload_alphabet
       then invalid_arg "Forward.relay: wire alphabet mismatch"
   | None -> ());
+  let reset = Io.Server.say_world (Msg.Sym reset_cmd) in
   Strategy.make
     ~name:
       (match wire with
@@ -47,18 +69,14 @@ let relay ?wire ~alphabet ~payload_alphabet () =
     ~init:(fun () -> 0 (* wire state *))
     ~step:(fun rng wstate (obs : Io.Server.obs) ->
       match obs.from_user with
-      | Msg.Pair (Msg.Sym c, Msg.Pair (Msg.Int seq, Msg.Int sym))
-        when c = data_cmd && seq >= 0 && sym >= 0 && sym < payload_alphabet ->
-          let wstate, sym =
-            match wire with
-            | None -> (wstate, sym)
-            | Some w ->
-                let st, o = Prob_mealy.step rng w wstate sym in
-                (st, o)
-          in
-          (wstate, Io.Server.say_world (Msg.Pair (Msg.Int seq, Msg.Int sym)))
-      | Msg.Sym c when c = reset_cmd ->
-          (wstate, Io.Server.say_world (Msg.Sym reset_cmd))
+      | Msg.Pair (Msg.Sym c, (Msg.Pair (Msg.Int seq, Msg.Int sym) as frame))
+        when c = data_cmd && seq >= 0 && sym >= 0 && sym < payload_alphabet -> (
+          match wire with
+          | None -> (wstate, Io.Server.say_world frame)
+          | Some w ->
+              let wstate, sym = Prob_mealy.step rng w wstate sym in
+              (wstate, Io.Server.say_world (Msg.Pair (Msg.Int seq, Msg.Int sym))))
+      | Msg.Sym c when c = reset_cmd -> (wstate, reset)
       | _ -> (wstate, Io.Server.silent))
 
 let server ?wire ~alphabet ~payload_alphabet d =
@@ -72,26 +90,58 @@ let server_class ?wire ~alphabet ~payload_alphabet dialects =
 (* --- the goal --------------------------------------------------------- *)
 
 let world_of_scenario s =
-  let len = List.length s.doc in
   World.make
-    ~name:(Printf.sprintf "net-forward-world(%d syms)" len)
-    ~init:(fun () -> [])
-    ~step:(fun _rng received (obs : Io.World.obs) ->
-      let received =
+    ~name:(Printf.sprintf "net-forward-world(%d syms)" s.doc_len)
+    ~init:(fun () -> s.empty)
+    ~step:(fun _rng st (obs : Io.World.obs) ->
+      let st =
         match obs.from_server with
-        | Msg.Pair (Msg.Int seq, Msg.Int sym)
-          when seq = List.length received && seq < len ->
-            received @ [ sym ]
-        | Msg.Sym c when c = reset_cmd -> []
-        | _ -> received
+        | Msg.Pair (Msg.Int seq, Msg.Int sym) when seq = st.len && seq < s.doc_len
+          ->
+            state_of s.doc_msg (st.received @ [ sym ]) (st.len + 1)
+        | Msg.Sym c when c = reset_cmd -> s.empty
+        | _ -> st
       in
-      (received, Io.World.say_user (Codec.pair_of_ints s.doc received)))
-    ~view:(fun received -> Codec.pair_of_ints s.doc received)
+      (st, st.act))
+    ~view:(fun st -> st.view)
 
-let delivered view =
-  match Codec.pair_of_ints_opt view with
-  | Some (doc, received) -> doc <> [] && received = doc
-  | None -> false
+(* Both walks below read the broadcast [Pair (Seq doc, Seq received)]
+   in place.  They accept exactly what [Codec.pair_of_ints_opt] decodes
+   — two sequences of [Int]s — and allocate nothing. *)
+let rec all_ints = function
+  | [] -> true
+  | Msg.Int _ :: rest -> all_ints rest
+  | _ -> false
+
+let rec same_ints doc received =
+  match (doc, received) with
+  | [], [] -> true
+  | Msg.Int x :: doc, Msg.Int y :: received -> x = y && same_ints doc received
+  | _ -> false
+
+let delivered = function
+  | Msg.Pair (Msg.Seq (_ :: _ as doc), Msg.Seq received) ->
+      same_ints doc received
+  | _ -> false
+
+(* [k] elements of both sequences read so far, all [Int]s; [prefix]
+   says whether they agreed. *)
+let rec walk k prefix doc received ~malformed ~complete ~beyond ~next =
+  match (doc, received) with
+  | [], [] -> if prefix then complete else beyond
+  | Msg.Int x :: doc, [] ->
+      if all_ints doc then next ~prefix k x else malformed
+  | [], _ :: _ -> if all_ints received then beyond else malformed
+  | Msg.Int x :: doc, Msg.Int y :: received ->
+      walk (k + 1) (prefix && x = y) doc received ~malformed ~complete ~beyond
+        ~next
+  | _ -> malformed
+
+let read_broadcast view ~malformed ~complete ~beyond ~next =
+  match view with
+  | Msg.Pair (Msg.Seq doc, Msg.Seq received) ->
+      walk 0 true doc received ~malformed ~complete ~beyond ~next
+  | _ -> malformed
 
 let referee = Referee.finite_exists "payload-forwarded" delivered
 
@@ -105,32 +155,37 @@ let goal ~scenarios ~alphabet () =
 
 (* --- users ------------------------------------------------------------ *)
 
-let rec is_prefix xs ys =
-  match (xs, ys) with
-  | [], _ -> true
-  | x :: xs, y :: ys -> x = y && is_prefix xs ys
-  | _ :: _, [] -> false
-
 (* Stop-and-wait: the latest broadcast alone decides the next frame, so
    losses retransmit, duplicates dedup at the world's sequence check,
    and a derailed prefix (wire corruption that slipped through) is
-   cleared and resent. *)
+   cleared and resent.  The user remembers the broadcast it last
+   decided on: the world hands out one shared broadcast until its state
+   changes, so a retransmission reuses the frame it already encoded. *)
+type decision = { seen : Msg.t; act : Io.User.act }
+
+(* Silence decodes to no broadcast at all: the user stays silent. *)
+let no_decision = { seen = Msg.Silence; act = Io.User.silent }
+
 let informed_user ~alphabet d =
   check_alphabet alphabet;
   let send m = Io.User.say_server (Dialect_msg.encode d m) in
-  Strategy.stateless
+  let reset = send (Msg.Sym reset_cmd) in
+  let next ~prefix k sym =
+    if prefix then
+      send (Msg.Pair (Msg.Sym data_cmd, Msg.Pair (Msg.Int k, Msg.Int sym)))
+    else reset
+  in
+  Strategy.make
     ~name:(Printf.sprintf "net-arq@%s" (Format.asprintf "%a" Dialect.pp d))
-    (fun (obs : Io.User.obs) ->
-      match Codec.pair_of_ints_opt obs.from_world with
-      | None -> Io.User.silent
-      | Some (doc, received) ->
-          if received = doc then Io.User.halt_act
-          else if is_prefix received doc then
-            let k = List.length received in
-            send
-              (Msg.Pair
-                 (Msg.Sym data_cmd, Msg.Pair (Msg.Int k, Msg.Int (List.nth doc k))))
-          else send (Msg.Sym reset_cmd))
+    ~init:(fun () -> no_decision)
+    ~step:(fun _rng last (obs : Io.User.obs) ->
+      if obs.from_world == last.seen then (last, last.act)
+      else
+        let act =
+          read_broadcast obs.from_world ~malformed:Io.User.silent
+            ~complete:Io.User.halt_act ~beyond:reset ~next
+        in
+        ({ seen = obs.from_world; act }, act))
 
 let user_class ~alphabet dialects =
   Enum.map

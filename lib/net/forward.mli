@@ -32,7 +32,9 @@ val min_alphabet : int
 type scenario
 
 val scenario : payload_alphabet:int -> int list -> scenario
-(** The payload word the world wants delivered.
+(** The payload word the world wants delivered.  The scenario also
+    holds the empty world's state and broadcast, built once here and
+    shared by every world of the scenario.
     @raise Invalid_argument on an empty word or out-of-range
     symbols. *)
 
@@ -59,9 +61,34 @@ val server_class :
 (** {1 The goal} *)
 
 val world_of_scenario : scenario -> World.t
-(** State view [(payload, received)]. *)
+(** State view [(payload, received)].  The view and its [say_user] act
+    are rebuilt only when a frame is appended or a reset arrives; any
+    other round returns the same state, view and act. *)
 
 val delivered : Msg.t -> bool
+(** The referee's predicate: the view decodes as [(payload, received)]
+    ({!Goalcom_goals.Codec.pair_of_ints_opt}) with a non-empty payload
+    equal to [received].  Reads the view in place and does not
+    allocate. *)
+
+val read_broadcast :
+  Msg.t ->
+  malformed:'a ->
+  complete:'a ->
+  beyond:'a ->
+  next:(prefix:bool -> int -> int -> 'a) ->
+  'a
+(** One allocation-free walk over a broadcast [(payload, received)]:
+    - [malformed] when it does not decode as two sequences of [Int]s;
+    - [complete] when [received] equals the payload;
+    - [next ~prefix k sym] when [received] has length [k], shorter than
+      the payload, whose [k]-th symbol is [sym]; [prefix] says whether
+      [received] is a prefix of the payload;
+    - [beyond] otherwise: [received] differs from the payload and is at
+      least as long.
+
+    The ARQ user and {!Mac.policy} decide with it. *)
+
 val referee : Referee.t
 val goal : scenarios:scenario list -> alphabet:int -> unit -> Goal.t
 
@@ -70,8 +97,9 @@ val goal : scenarios:scenario list -> alphabet:int -> unit -> Goal.t
 val informed_user : alphabet:int -> Dialect.t -> Strategy.user
 (** Dialect-informed ARQ sender: retransmits the first missing symbol
     until the broadcast prefix advances, resets when the prefix
-    derails, halts on completion.  Memoryless — every decision is a
-    function of the latest broadcast. *)
+    derails, halts on completion.  Every decision is a function of the
+    latest broadcast; the user keeps only its last decision, reused
+    while the broadcast is physically the same. *)
 
 val user_class : alphabet:int -> Dialect.t Enum.t -> Strategy.user Enum.t
 val sensing : Sensing.t

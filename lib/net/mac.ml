@@ -1,5 +1,4 @@
 open Goalcom
-open Goalcom_goals
 
 let goal ~payload_alphabet doc =
   let scenario = Forward.scenario ~payload_alphabet doc in
@@ -15,35 +14,31 @@ let goal ~payload_alphabet doc =
 let policy ~period ~offset =
   if period < 1 || offset < 0 || offset >= period then
     invalid_arg "Mac.policy: need 0 <= offset < period";
+  let transmit ~prefix:_ k sym =
+    Io.User.say_server (Msg.Pair (Msg.Int k, Msg.Int sym))
+  and hold ~prefix:_ _ _ = Io.User.silent in
   Strategy.stateless
     ~name:(Printf.sprintf "mac-policy(%d/%d)" offset period)
     (fun (obs : Io.User.obs) ->
-      match Codec.pair_of_ints_opt obs.from_world with
-      | None -> Io.User.silent
-      | Some (doc, received) ->
-          if received = doc then Io.User.halt_act
-          else if obs.round mod period = offset then
-            let k = List.length received in
-            match List.nth_opt doc k with
-            | Some sym ->
-                Io.User.say_server (Msg.Pair (Msg.Int k, Msg.Int sym))
-            | None -> Io.User.silent
-          else Io.User.silent)
+      Forward.read_broadcast obs.from_world ~malformed:Io.User.silent
+        ~complete:Io.User.halt_act ~beyond:Io.User.silent
+        ~next:(if obs.round mod period = offset then transmit else hold))
 
 let policy_class ?(shift = 0) ~max_period () =
   if max_period < 1 then invalid_arg "Mac.policy_class: empty class";
   let all =
-    List.concat_map
-      (fun p -> List.init p (fun o -> (p, o)))
-      (List.init max_period (fun i -> i + 1))
+    Array.of_list
+      (List.concat_map
+         (fun p -> List.init p (fun o -> (p, o)))
+         (List.init max_period (fun i -> i + 1)))
   in
-  let n = List.length all in
+  let n = Array.length all in
   let shift = ((shift mod n) + n) mod n in
   Goalcom_automata.Enum.tabulate
     ~name:(Printf.sprintf "mac-policies(max_period=%d,shift=%d)" max_period shift)
     n
     (fun i ->
-      let p, o = List.nth all ((i + shift) mod n) in
+      let p, o = all.((i + shift) mod n) in
       policy ~period:p ~offset:o)
 
 let sensing = Forward.sensing

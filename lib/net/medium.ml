@@ -60,30 +60,42 @@ let port t i =
             | None -> Msg.Silence);
         } ))
 
+(* One pass counts the staged ports and finds the first; only a
+   collision walks [staged] again, to flag every loser in port order.
+   Details are formatted only when a [report] reads them. *)
 let resolve ?report t =
-  let tell port action detail =
-    match report with Some f -> f ~port ~action ~detail | None -> ()
-  in
-  let staged =
-    Array.to_list (Array.mapi (fun i a -> (i, a)) t.staged)
-    |> List.filter_map (fun (i, a) -> Option.map (fun f -> (i, f)) a)
-  in
-  (match staged with
-  | [] -> t.idles <- t.idles + 1
-  | [ (i, (seq, sym)) ] ->
+  let count = ref 0 and first = ref 0 in
+  for i = t.n - 1 downto 0 do
+    if Option.is_some t.staged.(i) then begin
+      first := i;
+      incr count
+    end
+  done;
+  (match !count with
+  | 0 -> t.idles <- t.idles + 1
+  | 1 -> (
+      let i = !first in
       t.successes <- t.successes + 1;
       t.delivered_by.(i) <- t.delivered_by.(i) + 1;
-      t.outbox.(i) <- Some (seq, sym);
+      t.outbox.(i) <- t.staged.(i);
       t.feedback.(i) <- 1;
-      tell i "deliver" (Printf.sprintf "slot=%d seq=%d" t.slots seq)
-  | clash ->
+      match (report, t.staged.(i)) with
+      | Some f, Some (seq, _) ->
+          f ~port:i ~action:"deliver"
+            ~detail:(Printf.sprintf "slot=%d seq=%d" t.slots seq)
+      | _ -> ())
+  | k ->
       t.collisions <- t.collisions + 1;
-      let k = List.length clash in
-      List.iter
-        (fun (i, _) ->
+      for i = !first to t.n - 1 do
+        if Option.is_some t.staged.(i) then begin
           t.feedback.(i) <- 2;
-          tell i "collide" (Printf.sprintf "slot=%d %d-way" t.slots k))
-        clash);
+          match report with
+          | Some f ->
+              f ~port:i ~action:"collide"
+                ~detail:(Printf.sprintf "slot=%d %d-way" t.slots k)
+          | None -> ()
+        end
+      done);
   Array.fill t.staged 0 t.n None;
   t.slots <- t.slots + 1
 

@@ -42,12 +42,25 @@ let max_out_degree n =
 
 (* --- scenarios -------------------------------------------------------- *)
 
+(* World state: the packet (node, carried symbol) plus every edge
+   machine's state.  [estate] is never written in place: a step that
+   changes an edge's state copies it, so states share arrays freely —
+   every reset returns the scenario's one [pristine] packet. *)
+type packet = { node : int; sym : int; estate : int array }
+
 type scenario = {
   net : net;
   source : int;
   sink : int;
   payload : int;
   route : int list;
+  (* Every reachable packet's broadcast, indexed [node * alpha + sym]:
+     the view [[node; sym; sink; payload]] and its [say_user] act.
+     Nodes are edge endpoints and symbols Mealy outputs, both
+     range-checked by [net], so the tables cover every state. *)
+  views : Msg.t array;
+  says : Io.World.act array;
+  pristine : packet;
 }
 
 (* Plan a simple path delivering the payload intact.  Along a post-reset
@@ -75,7 +88,28 @@ let scenario ~net ~source ~sink ~payload =
     invalid_arg "Topo.scenario: payload out of range";
   match find_route net ~source ~sink ~payload with
   | None -> invalid_arg "Topo.scenario: no intact route from source to sink"
-  | Some route -> { net; source; sink; payload; route }
+  | Some route ->
+      let views =
+        Array.init (net.n_nodes * net.alpha) (fun i ->
+            Codec.ints [ i / net.alpha; i mod net.alpha; sink; payload ])
+      in
+      let pristine =
+        {
+          node = source;
+          sym = payload;
+          estate = Array.make (Array.length net.edges) 0;
+        }
+      in
+      {
+        net;
+        source;
+        sink;
+        payload;
+        route;
+        views;
+        says = Array.map Io.World.say_user views;
+        pristine;
+      }
 
 let scenario_net s = s.net
 let route s = s.route
@@ -121,42 +155,41 @@ let ring ~nodes:k ~sink ~payload_alphabet ~payload =
 
 (* --- the goal --------------------------------------------------------- *)
 
-(* World state: the packet (node, carried symbol) plus every edge
-   machine's state.  Edge-state updates copy the array: instances never
-   share state, and a reset restores the pristine fabric. *)
-type packet = { node : int; sym : int; estate : int array }
-
-let view_of s p = Codec.ints [ p.node; p.sym; s.sink; s.payload ]
+let packet_index s p = (p.node * s.net.alpha) + p.sym
 
 let world_of_scenario s =
-  let fresh () =
-    { node = s.source; sym = s.payload; estate = Array.make (Array.length s.net.edges) 0 }
-  in
   let reset = reset_sym s in
   World.make
     ~name:
       (Printf.sprintf "net-world(%dn,%de,%d->%d)" s.net.n_nodes
          (Array.length s.net.edges) s.source s.sink)
-    ~init:fresh
+    ~init:(fun () -> s.pristine)
     ~step:(fun _rng p (obs : Io.World.obs) ->
       let p =
         match obs.from_server with
-        | Msg.Sym c when c = reset -> fresh ()
+        | Msg.Sym c when c = reset -> s.pristine
         | Msg.Sym c when c >= 0 && c < Array.length s.net.outs.(p.node) ->
             let e = s.net.outs.(p.node).(c) in
             let _, v, m = s.net.edges.(e) in
-            let st', o = Mealy.step m p.estate.(e) p.sym in
-            let estate = Array.copy p.estate in
-            estate.(e) <- st';
-            { node = v; sym = o; estate }
+            let st = p.estate.(e) in
+            let st' = m.Mealy.next.(st).(p.sym) in
+            let estate =
+              if st' = st then p.estate
+              else begin
+                let estate = Array.copy p.estate in
+                estate.(e) <- st';
+                estate
+              end
+            in
+            { node = v; sym = m.Mealy.out.(st).(p.sym); estate }
         | _ -> p
       in
-      (p, Io.World.say_user (view_of s p)))
-    ~view:(view_of s)
+      (p, s.says.(packet_index s p)))
+    ~view:(fun p -> s.views.(packet_index s p))
 
-let delivered view =
-  match Codec.ints_opt view with
-  | Some [ node; sym; sink; payload ] -> node = sink && sym = payload
+let delivered = function
+  | Msg.Seq [ Msg.Int node; Msg.Int sym; Msg.Int sink; Msg.Int payload ] ->
+      node = sink && sym = payload
   | _ -> false
 
 let referee = Referee.finite_exists "payload-delivered" delivered
@@ -203,7 +236,11 @@ let settle_patience = 3
 let informed_user ~alphabet ~scenario:s d =
   check_alphabet ~alphabet [ s ];
   let plan = reset_sym s :: s.route in
-  let send c = Io.User.say_server (Dialect_msg.encode d (Msg.Sym c)) in
+  let sends =
+    Array.init alphabet (fun c ->
+        Io.User.say_server (Dialect_msg.encode d (Msg.Sym c)))
+  in
+  let send c = sends.(c) in
   Strategy.make
     ~name:(Printf.sprintf "net-user@%s" (Format.asprintf "%a" Dialect.pp d))
     ~init:(fun () -> Planless)

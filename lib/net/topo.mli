@@ -40,7 +40,10 @@ val max_out_degree : net -> int
 type scenario
 
 val scenario : net:net -> source:int -> sink:int -> payload:int -> scenario
-(** @raise Invalid_argument if endpoints or payload are out of range,
+(** Also builds, once, every reachable packet's world broadcast (view
+    and act, one per node and carried symbol) and the pristine packet,
+    shared read-only by every world of the scenario.
+    @raise Invalid_argument if endpoints or payload are out of range,
     or no simple path delivers the payload intact (edge states are 0
     along a post-reset simple path, which is how routes are planned and
     validated). *)
@@ -70,8 +73,14 @@ val ring : nodes:int -> sink:int -> payload_alphabet:int -> payload:int -> scena
 (** {1 The goal} *)
 
 val world_of_scenario : scenario -> World.t
+(** View [[node; sym; sink; payload]], taken from the scenario's table.
+    Edge machine states are copied only when a step changes one, so a
+    reset returns the shared pristine packet. *)
+
 val delivered : Msg.t -> bool
-(** The referee's predicate on world views. *)
+(** The referee's predicate on world views: exactly four [Int]s with
+    the packet at the sink carrying the payload.  Reads the view in
+    place and does not allocate. *)
 
 val referee : Referee.t
 val goal : scenarios:scenario list -> alphabet:int -> unit -> Goal.t

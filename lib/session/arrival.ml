@@ -46,23 +46,39 @@ let exp_neg x =
     !r
   end
 
-(* Knuth's product-of-uniforms sampler.  exp(-lambda) underflows past
-   lambda ~ 745, so large rates are sampled as a sum of independent
-   chunks of at most 16 (Poisson is additive); the chunk draws come
-   from the same stream in a fixed order, keeping determinism. *)
-let rec poisson rng lambda =
-  if lambda <= 0. then 0
-  else if lambda > 16. then
-    poisson rng 16. + poisson rng (lambda -. 16.)
+let max_rate = 1e6
+
+(* Knuth's product-of-uniforms sampler, for one chunk of rate <= 16:
+   exp(-lambda) underflows past lambda ~ 745. *)
+let poisson_chunk rng lambda =
+  let l = exp_neg lambda in
+  let k = ref 0 and p = ref 1. in
+  let continue = ref true in
+  while !continue do
+    p := !p *. Rng.float rng 1.;
+    if !p <= l then continue := false else incr k
+  done;
+  !k
+
+(* Poisson is additive, so a larger rate is sampled as a sum of
+   independent chunks from the same stream, in a fixed order: first the
+   remainder [lambda - 16m] in (0, 16], then [m] chunks of 16.  (The
+   order a recursive [poisson 16. + poisson (lambda -. 16.)] drew them
+   in; below [max_rate] every [lambda -. 16.] there is exact, so the
+   remainder is computed directly.)  Sampling stops once the batch
+   reaches [cap]: the caller clamps it to [cap] anyway. *)
+let poisson rng lambda ~cap =
+  if lambda <= 0. || cap <= 0 then 0
+  else if lambda <= 16. then poisson_chunk rng lambda
   else begin
-    let l = exp_neg lambda in
-    let k = ref 0 and p = ref 1. in
-    let continue = ref true in
-    while !continue do
-      p := !p *. Rng.float rng 1.;
-      if !p <= l then continue := false else incr k
+    let m = Float.to_int (Float.ceil (lambda /. 16.)) - 1 in
+    let n = ref (poisson_chunk rng (lambda -. (16. *. Float.of_int m))) in
+    let left = ref m in
+    while !left > 0 && !n < cap do
+      n := !n + poisson_chunk rng 16.;
+      decr left
     done;
-    !k
+    !n
   end
 
 let draw t state ~rng ~tick ~remaining =
@@ -70,7 +86,7 @@ let draw t state ~rng ~tick ~remaining =
     match t with
     | Bang -> if tick = 1 then remaining else 0
     | Constant k -> k
-    | Poisson rate -> poisson rng rate
+    | Poisson rate -> poisson rng rate ~cap:remaining
     | Mmpp { rates; switch } ->
         (* Geometric dwell times: each tick, first decide whether to
            advance to the next regime (cyclically), then sample at the
@@ -78,7 +94,7 @@ let draw t state ~rng ~tick ~remaining =
            the stream layout does not depend on past outcomes. *)
         let hop = Rng.bernoulli rng switch in
         if hop then state.regime <- (state.regime + 1) mod Array.length rates;
-        poisson rng rates.(state.regime)
+        poisson rng rates.(state.regime) ~cap:remaining
   in
   min n remaining
 
@@ -96,6 +112,10 @@ let of_string s =
   let s = String.trim s in
   let float_arg name v =
     match float_of_string_opt v with
+    | Some f when f > max_rate ->
+        Error
+          (Printf.sprintf "Arrival.of_string: %s rate %S above the cap of %g \
+                           per tick" name v max_rate)
     | Some f when f >= 0. && Float.is_finite f -> Ok f
     | _ -> Error (Printf.sprintf "Arrival.of_string: bad %s rate %S" name v)
   in

@@ -21,16 +21,23 @@ type state
 
 val start : t -> state
 
+val max_rate : float
+(** [1e6]: the largest Poisson or MMPP rate, in sessions per tick, that
+    {!of_string} accepts.  {!draw} assumes rates within it. *)
+
 val draw : t -> state -> rng:Goalcom_prelude.Rng.t -> tick:int -> remaining:int -> int
 (** Arrivals for this tick, clamped to [remaining] (the sessions that
-    have not yet arrived).  Must be called exactly once per tick with
-    the process's own RNG stream — stream position is part of the
-    engine's determinism contract. *)
+    have not yet arrived).  Poisson sampling stops once the batch
+    reaches [remaining], so a draw costs O(min(rate, remaining)) RNG
+    calls.  Must be called exactly once per tick with the process's own
+    RNG stream — stream position is part of the engine's determinism
+    contract. *)
 
 val of_string : string -> (t, string) result
 (** Accepts ["bang"] (or ["all"]), a bare integer ([0] = [Bang]),
     ["constant:N"], ["poisson:R"], and ["mmpp:R1,R2,..[:P]"] with
-    per-tick regime-hop probability [P] (default [0.1]). *)
+    per-tick regime-hop probability [P] (default [0.1]).  Rates must be
+    finite and within [0, max_rate]; an error names the cap. *)
 
 val to_string : t -> string
 (** Inverse of {!of_string} (up to case and float formatting). *)

@@ -210,7 +210,11 @@ let test_arrival_parse () =
             (Printf.sprintf "%S error names the module" bad)
             true
             (String.length e > 0))
-    [ "-3"; "poisson:-1"; "poisson:x"; "mmpp:1"; "mmpp:1,2:7"; "sometimes" ];
+    [
+      "-3"; "poisson:-1"; "poisson:x"; "mmpp:1"; "mmpp:1,2:7"; "sometimes";
+      (* rates above the cap: sampling them would not terminate *)
+      "poisson:1e9"; "mmpp:1,1e9"; "poisson:0x1p60";
+    ];
   (* to_string round-trips through of_string *)
   List.iter
     (fun a ->
@@ -256,6 +260,111 @@ let test_arrival_draws () =
   Alcotest.(check (list int)) "mmpp deterministic" m1 m2;
   Alcotest.(check bool) "mmpp visits both regimes" true
     (List.exists (fun n -> n > 8) m1 && List.exists (fun n -> n <= 2) m1)
+
+(* The recursive Poisson sampler [Arrival] used before rates were
+   capped, copied verbatim (with its libm-free [exp_neg]).  Draws from
+   rates up to 200 must match it exactly — chunk order included — as
+   long as the batch stays under [remaining]. *)
+module Old_arrival = struct
+  let exp_neg x =
+    if x <= 0. then 1.
+    else begin
+      let y = ref x and k = ref 0 in
+      while !y > 0.5 do
+        y := !y /. 2.;
+        incr k
+      done;
+      let term = ref 1. and sum = ref 1. in
+      for i = 1 to 20 do
+        term := !term *. -. !y /. float_of_int i;
+        sum := !sum +. !term
+      done;
+      let r = ref !sum in
+      for _ = 1 to !k do
+        r := !r *. !r
+      done;
+      !r
+    end
+
+  let rec poisson rng lambda =
+    if lambda <= 0. then 0
+    else if lambda > 16. then
+      poisson rng 16. + poisson rng (lambda -. 16.)
+    else begin
+      let l = exp_neg lambda in
+      let k = ref 0 and p = ref 1. in
+      let continue = ref true in
+      while !continue do
+        p := !p *. Rng.float rng 1.;
+        if !p <= l then continue := false else incr k
+      done;
+      !k
+    end
+
+  let draws a ~seed ~ticks ~remaining =
+    let rng = Rng.make seed in
+    let regime = ref 0 in
+    List.init ticks (fun _ ->
+        let n =
+          match a with
+          | Arrival.Poisson rate -> poisson rng rate
+          | Arrival.Mmpp { rates; switch } ->
+              if Rng.bernoulli rng switch then
+                regime := (!regime + 1) mod Array.length rates;
+              poisson rng rates.(!regime)
+          | _ -> invalid_arg "Old_arrival.draws"
+        in
+        min n remaining)
+end
+
+let new_draws a ~seed ~ticks ~remaining =
+  let rng = Rng.make seed in
+  let st = Arrival.start a in
+  List.init ticks (fun i -> Arrival.draw a st ~rng ~tick:(i + 1) ~remaining)
+
+let gen_rate = QCheck.Gen.(map (fun r -> Float.of_int r /. 8.) (int_range 0 1600))
+
+let prop_arrival_matches_old_sampler =
+  QCheck.Test.make ~count:200
+    ~name:"Arrival: Poisson/MMPP draws = the uncapped sampler (rates <= 200)"
+    QCheck.(
+      make
+        ~print:(fun (a, seed) -> Printf.sprintf "%s seed %d" (Arrival.to_string a) seed)
+        Gen.(
+          pair
+            (frequency
+               [
+                 (1, map (fun r -> Arrival.Poisson r) gen_rate);
+                 ( 1,
+                   map2
+                     (fun rates switch -> Arrival.Mmpp { rates = Array.of_list rates; switch })
+                     (list_size (int_range 2 3) gen_rate)
+                     (float_bound_inclusive 1.) );
+               ])
+            (int_bound 10_000)))
+    (fun (a, seed) ->
+      new_draws a ~seed ~ticks:25 ~remaining:1_000_000
+      = Old_arrival.draws a ~seed ~ticks:25 ~remaining:1_000_000)
+
+(* Once a batch reaches [remaining] the new sampler stops drawing; the
+   tick's answer is unchanged, only later draws (all clamped to 0 by
+   then, since nobody is left to arrive) see a different stream. *)
+let prop_arrival_stops_at_remaining =
+  QCheck.Test.make ~count:200
+    ~name:"Arrival: a draw clamped to remaining equals the uncapped one"
+    QCheck.(triple (map (fun r -> Float.of_int r /. 8.) (int_range 0 1600)) (int_bound 60) (int_bound 10_000))
+    (fun (rate, remaining, seed) ->
+      let a = Arrival.Poisson rate in
+      new_draws a ~seed ~ticks:1 ~remaining
+      = Old_arrival.draws a ~seed ~ticks:1 ~remaining)
+
+let test_arrival_huge_rate_terminates () =
+  (* Built directly (of_string would reject it): the draw stops at
+     remaining instead of sampling a billion arrivals. *)
+  Alcotest.(check (list int)) "poisson 1e9 clamps" [ 50; 50 ]
+    (new_draws (Arrival.Poisson 1e9) ~seed:1 ~ticks:2 ~remaining:50);
+  Alcotest.(check (list int)) "nothing remaining draws nothing" [ 0 ]
+    (new_draws (Arrival.Poisson 1e6) ~seed:1 ~ticks:1 ~remaining:0)
 
 (* --- Chaos ------------------------------------------------------------ *)
 
@@ -563,6 +672,9 @@ let suite =
     ("admission drains leading terminals", `Quick, test_admission_drains_leading_terminals);
     ("arrival parse", `Quick, test_arrival_parse);
     ("arrival draws", `Quick, test_arrival_draws);
+    QCheck_alcotest.to_alcotest prop_arrival_matches_old_sampler;
+    QCheck_alcotest.to_alcotest prop_arrival_stops_at_remaining;
+    ("arrival huge rate", `Quick, test_arrival_huge_rate_terminates);
     ("chaos parse and targets", `Quick, test_chaos_parse_and_target);
     ("chaos parse errors", `Quick, test_chaos_parse_errors);
     ("engine calm run completes", `Quick, test_engine_all_complete);
