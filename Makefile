@@ -16,8 +16,8 @@ test:
 check: build test
 
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
-# analytics, parallel smoke, scheduling smoke, arrival-rate cap, chaos
-# smoke, live-stats smoke, golden drift, sessbench smokes (net, storm),
+# analytics, parallel smoke, scheduling smoke, arrival-rate cap,
+# class-weights duplicate, examples smoke, chaos smoke, live-stats smoke, golden drift, sessbench smokes (net, storm),
 # bench gate.  Run before pushing.
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
@@ -28,6 +28,9 @@ ci: check
 	cmp /tmp/sched-1.digest /tmp/sched-2.digest
 	dune build bin/main.exe
 	status=0; timeout 10 ./_build/default/bin/main.exe serve --sessions 8 --arrivals poisson:1e9 2> /tmp/arrival-cap.txt || status=$$?; cat /tmp/arrival-cap.txt; test "$$status" -eq 1 && grep -q 'above the cap' /tmp/arrival-cap.txt
+	status=0; ./_build/default/bin/main.exe serve --sessions 8 --class-weights a=1,a=2 2> /tmp/class-weights.txt || status=$$?; cat /tmp/class-weights.txt; test "$$status" -eq 1 && grep -q 'duplicate class' /tmp/class-weights.txt
+	dune build @examples/all
+	for exe in _build/default/examples/*.exe; do echo "== $$exe"; "$$exe" > /dev/null || exit 1; done
 	dune exec bin/main.exe -- chaos run --sessions 120 --jobs 2 --repeat 2 --check
 	GOALCOM_E18_SESSIONS=60 dune exec bin/main.exe -- run e18 --jobs 2
 	dune exec bin/main.exe -- warm record --sessions 18 --out /tmp/warm.jsonl

@@ -23,50 +23,39 @@ let header_of_msg = function
     end
   | _ -> None
 
+(* Each inner session is judged live: [judge] has absorbed the running
+   session's world views, and the verdict of the step that ends a
+   session is that session's result. *)
 type state = {
   inner : World.Instance.t;
   round_in_session : int;
   completed : int;
   last : flag;
-  session_views_rev : Msg.t list;  (* inner views of the running session *)
+  judge : Referee.judge;
 }
 
-let wrap_world ~session_length ~decide base =
+let wrap_world ~session_length ~referee base =
+  let fresh ~completed ~last =
+    let inner = World.Instance.create base in
+    let judge, _ = Referee.start referee (World.Instance.view inner) in
+    { inner; round_in_session = 0; completed; last; judge }
+  in
   World.make
     ~name:(World.name base ^ "/multi-session")
-    ~init:(fun () ->
-      let inner = World.Instance.create base in
-      {
-        inner;
-        round_in_session = 0;
-        completed = 0;
-        last = No_session_yet;
-        session_views_rev = [ World.Instance.view inner ];
-      })
+    ~init:(fun () -> fresh ~completed:0 ~last:No_session_yet)
     ~step:(fun rng st (obs : Io.World.obs) ->
       let inner_act = World.Instance.step rng st.inner obs in
-      let inner_view = World.Instance.view st.inner in
-      let st =
-        {
-          st with
-          round_in_session = st.round_in_session + 1;
-          session_views_rev = inner_view :: st.session_views_rev;
-        }
+      let judge, verdict =
+        Referee.step st.judge (World.Instance.view st.inner)
       in
       let st =
-        if st.round_in_session < session_length then st
-        else begin
-          (* Session boundary: judge it and restart the inner world. *)
-          let passed = decide (List.rev st.session_views_rev) in
-          let inner = World.Instance.create base in
-          {
-            inner;
-            round_in_session = 0;
-            completed = st.completed + 1;
-            last = (if passed then Pass else Fail);
-            session_views_rev = [ World.Instance.view inner ];
-          }
-        end
+        if st.round_in_session + 1 < session_length then
+          { st with round_in_session = st.round_in_session + 1; judge }
+        else
+          (* Session boundary: its verdict is final; restart the inner
+             world. *)
+          fresh ~completed:(st.completed + 1)
+            ~last:(if verdict = `Ok then Pass else Fail)
       in
       let act =
         {
@@ -96,10 +85,12 @@ let goal ~session_length (g : Goal.t) =
     invalid_arg "Multi_session.goal: session_length must be positive";
   if not (Referee.is_finite g.Goal.referee) then
     invalid_arg "Multi_session.goal: inner goal must be finite";
-  let decide = Referee.decider g.Goal.referee in
   Goal.make
     ~name:(Goal.name g ^ "/multi-session")
-    ~worlds:(List.map (wrap_world ~session_length ~decide) g.Goal.worlds)
+    ~worlds:
+      (List.map
+         (wrap_world ~session_length ~referee:g.Goal.referee)
+         g.Goal.worlds)
     ~referee
 
 let wrap_user inner =

@@ -10,7 +10,8 @@
 
     [goal ~session_length g] wraps a {e finite} goal [g]: each world of
     [g] is restarted every [session_length] rounds, the finite referee
-    judges each completed session on that session's world views, and
+    judges each session live on that session's world views (one
+    {!Referee.step} per round, read at the session boundary), and
     the compact referee deems a prefix unacceptable exactly when the
     most recently completed session failed.
 

@@ -16,11 +16,7 @@ type state =
     }
       -> state
 
-type t = {
-  name : string;
-  sense : View.t -> verdict;  (** whole-view verdict *)
-  spawn : unit -> state;  (** fresh incremental instance *)
-}
+type t = { name : string; spawn : unit -> state }
 
 let start t = t.spawn ()
 
@@ -32,54 +28,21 @@ let observe st e =
 
 let verdict (State { last; _ }) = Lazy.force last
 
-(* Compatibility constructor: the incremental instance accumulates the
-   view and calls the original [sense] once per observed event — the
-   same per-round call pattern (and rng-draw sequence, for effectful
-   sensors) the engine always had. *)
-let make ~name sense =
-  {
-    name;
-    sense;
-    spawn =
-      (fun () ->
-        State
-          {
-            s = View.empty;
-            last = lazy (sense View.empty);
-            step =
-              (fun view e ->
-                let view = View.extend view e in
-                (view, sense view));
-          });
-  }
-
 let incremental ~name ~init ~step =
-  let sense view =
-    let s0, v0 = init () in
-    let _, v =
-      List.fold_left (fun (s, _) e -> step s e) (s0, v0) (View.events view)
-    in
-    v
-  in
   {
     name;
-    sense;
     spawn =
       (fun () ->
         let s, v = init () in
         State { s; last = Lazy.from_val v; step });
   }
 
-(* Most goal sensors only inspect the latest event: O(1) per round and
-   per whole-view call. *)
+(* Most goal sensors only inspect the latest event: O(1) per round. *)
 let of_latest ~name ~empty p =
   let empty_v = if empty then Positive else Negative in
   let judge e = if p e then Positive else Negative in
   {
     name;
-    sense =
-      (fun view ->
-        match View.latest view with None -> empty_v | Some e -> judge e);
     spawn =
       (fun () ->
         State
@@ -101,11 +64,6 @@ let of_recent ~name ~window p =
   in
   {
     name;
-    sense =
-      (fun view ->
-        if List.exists p (Listx.take window (View.events_rev view)) then
-          Positive
-        else Negative);
     spawn =
       (fun () ->
         State
@@ -126,14 +84,10 @@ let constant v =
   in
   {
     name;
-    sense = (fun _ -> v);
     spawn =
       (fun () ->
         State { s = (); last = Lazy.from_val v; step = (fun () _ -> ((), v)) });
   }
-
-let of_predicate ~name p =
-  make ~name (fun view -> if p view then Positive else Negative)
 
 let verdicts t history =
   let _, acc =
@@ -144,6 +98,9 @@ let verdicts t history =
         (st, (e.View.round, verdict st) :: acc))
   in
   List.rev acc
+
+let final t history =
+  verdict (View.fold_events history ~init:(start t) ~f:observe)
 
 let negatives_after t history round =
   let _, n =
@@ -167,12 +124,9 @@ let negatives_after t history round =
    halting: making Negative harder makes Positive easier, which is the
    unsafe direction when positives trigger halting.
 
-   The incremental instance keeps the last [window] raw verdicts in a
-   ring buffer alongside a live instance of the base sensor, so each
-   round costs one base observation plus O(1) ring maintenance; the
-   whole-view [sense] closure keeps the historical re-sensing
-   implementation (it is the only way to evaluate an arbitrary view in
-   one shot, and the fault tests exercise it directly). *)
+   The instance keeps the last [window] raw verdicts in a ring buffer
+   alongside a live instance of the base sensor, so each round costs
+   one base observation plus O(1) ring maintenance. *)
 let tolerant ~window ~threshold t =
   if window <= 0 then invalid_arg "Sensing.tolerant: window must be positive";
   if threshold <= 0 || threshold > window then
@@ -195,32 +149,6 @@ let tolerant ~window ~threshold t =
                clock = negs;
                patience = threshold;
              })
-  in
-  let sense view =
-    let depth = min window (View.length view) in
-    if depth = 0 then Positive
-    else begin
-      let raw0 = t.sense view in
-      let rec negs k acc =
-        if k >= depth || acc >= threshold then acc
-        else begin
-          let v = t.sense (View.drop_latest k view) in
-          negs (k + 1) (if v = Negative then acc + 1 else acc)
-        end
-      in
-      let n = negs 1 (if raw0 = Negative then 1 else 0) in
-      if n >= threshold then Negative
-      else begin
-        if raw0 = Negative then
-          mask_event
-            ~round:
-              (match View.latest view with
-              | Some e -> e.View.round
-              | None -> 0)
-            ~negs:n;
-        Positive
-      end
-    end
   in
   let spawn () =
     (* Ring of the last [window] raw verdicts; [negs] counts the
@@ -249,35 +177,38 @@ let tolerant ~window ~threshold t =
     in
     State { s = (); last = Lazy.from_val Positive; step }
   in
-  { name; sense; spawn }
+  { name; spawn }
 
+(* One Bernoulli draw per Negative the inner sensor reports.  The
+   empty-view verdict stays lazy, so its draw happens only if it is read
+   before the first observation (as [halt_on_positive] does). *)
 let corrupt_unsafe ~flip_to_positive rng t =
-  make
-    ~name:(Printf.sprintf "%s/unsafe(%.2f)" t.name flip_to_positive)
-    (fun view ->
-      match t.sense view with
-      | Positive -> Positive
-      | Negative ->
-          if Rng.bernoulli rng flip_to_positive then Positive else Negative)
-
-let corrupt_unviable t =
-  let name = t.name ^ "/unviable" in
+  let corrupt = function
+    | Positive -> Positive
+    | Negative ->
+        if Rng.bernoulli rng flip_to_positive then Positive else Negative
+  in
   {
-    name;
-    sense = (fun _ -> Negative);
+    name = Printf.sprintf "%s/unsafe(%.2f)" t.name flip_to_positive;
     spawn =
       (fun () ->
+        let inner = start t in
         State
           {
-            s = ();
-            last = Lazy.from_val Negative;
-            step = (fun () _ -> ((), Negative));
+            s = inner;
+            last = lazy (corrupt (verdict inner));
+            step =
+              (fun inner e ->
+                let inner = observe inner e in
+                (inner, corrupt (verdict inner)));
           });
   }
 
+let corrupt_unviable t = { (constant Negative) with name = t.name ^ "/unviable" }
+
 (* A user that runs [inner] but halts as soon as sensing turns positive.
-   Sensing state is fed exactly the events {!View.of_history} would
-   build: the event for round r pairs the round-r sends with the
+   Sensing state is fed exactly the events {!View.fold_events} yields:
+   the event for round r pairs the round-r sends with the
    messages received when acting at round r (i.e. emitted at round r-1);
    sensing therefore sees the rounds completed so far.  One observation
    per round — the engine never re-steps a halted user, so the verdict

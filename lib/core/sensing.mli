@@ -19,14 +19,12 @@
     - {e Viability}: with every server in the class, some user strategy
       obtains a positive indication.
 
-    {b Incremental sensing.}  Every sensor carries two faces: [sense],
-    the historical whole-view predicate, and a spawnable incremental
-    instance ({!start}/{!observe}/{!verdict}) that absorbs one
-    {!View.event} per round and answers the current verdict in O(1).
-    The two agree on every prefix: [verdict] after observing the events
-    of a view equals [sense] of that view.  The round loop (universal
-    users, {!halt_on_positive}, {!verdicts}) rides the incremental face;
-    [sense] remains for one-shot judgements of an arbitrary view.
+    {b Incremental sensing.}  A sensor is a fold over the view: a
+    spawnable instance ({!start}/{!observe}/{!verdict}) absorbs one
+    {!View.event} per round and answers the verdict on the prefix seen
+    so far in O(1).  The verdict on a whole view is the verdict after
+    observing all of its events ({!final}); the round loop (universal
+    users, {!halt_on_positive}, {!verdicts}) reads it round by round.
 
     The [check_*] validators below are Monte-Carlo approximations of
     the quantified safety/viability statements over horizon-bounded
@@ -47,7 +45,6 @@ type state
 
 type t = {
   name : string;
-  sense : View.t -> verdict;  (** whole-view verdict *)
   spawn : unit -> state;  (** fresh incremental instance *)
 }
 
@@ -55,46 +52,31 @@ val start : t -> state
 (** Fresh instance; its verdict is the empty-view verdict. *)
 
 val observe : state -> View.event -> state
-(** Absorb one round's event.  O(1) for the native constructors below;
-    for {!make}-based sensors it costs one [sense] call (on the view
-    extended so far), the historical per-round price. *)
+(** Absorb one round's event; O(1) for the constructors below. *)
 
 val verdict : state -> verdict
 (** Verdict on the prefix observed so far — O(1), no re-evaluation. *)
-
-val make : name:string -> (View.t -> verdict) -> t
-(** Compatibility constructor from a whole-view function.  The spawned
-    instance accumulates the view and calls [sense] once per observed
-    event — same call pattern (and rng-draw sequence, for effectful
-    sensors) as the historical engine. *)
 
 val incremental :
   name:string ->
   init:(unit -> 's * verdict) ->
   step:('s -> View.event -> 's * verdict) ->
   t
-(** Native incremental sensor: [init] yields the state and empty-view
-    verdict, [step] absorbs one event.  The derived [sense] replays the
-    view's events through [step]. *)
+(** Sensor from its fold: [init] yields the state and empty-view
+    verdict, [step] absorbs one event. *)
 
 val of_latest : name:string -> empty:bool -> (View.event -> bool) -> t
 (** Sensor that judges only the latest event ([true] maps to
     [Positive]); [empty] is the verdict (as a bool) on the empty view.
-    O(1) per round and per [sense] call. *)
+    O(1) per round. *)
 
 val of_recent : name:string -> window:int -> (View.event -> bool) -> t
 (** [Positive] iff some event among the last [window] satisfies the
-    predicate; [Negative] on the empty view.  The incremental instance
-    tracks the index of the most recent hit, so each round is O(1).
+    predicate; [Negative] on the empty view.  The instance tracks the
+    index of the most recent hit, so each round is O(1).
     @raise Invalid_argument unless [window >= 1]. *)
 
 val constant : verdict -> t
-
-val of_predicate : name:string -> (View.t -> bool) -> t
-(** [true] maps to [Positive].  Whole-view: the spawned instance costs
-    one predicate call per round (see {!make}); prefer {!of_latest} /
-    {!of_recent} / {!incremental} when the predicate has an O(1)
-    incremental form. *)
 
 val verdicts : t -> History.t -> (int * verdict) list
 (** The indication at every round of a history (round, verdict) — a
@@ -103,6 +85,11 @@ val verdicts : t -> History.t -> (int * verdict) list
 val negatives_after : t -> History.t -> int -> int
 (** Number of negative indications strictly after the given round; one
     incremental pass. *)
+
+val final : t -> History.t -> verdict
+(** The verdict on the whole view of a history: the instance's verdict
+    after observing every event (the empty-view verdict on a zero-round
+    history). *)
 
 val tolerant : window:int -> threshold:int -> t -> t
 (** Fault-tolerant wrapper for {e compact-goal switching}: the wrapped
@@ -115,13 +102,9 @@ val tolerant : window:int -> threshold:int -> t -> t
     finite-goal halting (there, flipping Negative to Positive is the
     unsafe direction).
 
-    The incremental instance keeps a ring buffer of the last [window]
-    raw verdicts plus a running negative count, so each round costs one
-    base-sensor observation and O(1) bookkeeping — the per-round price
-    no longer grows with the view.  The whole-view [sense] closure
-    retains the historical implementation (re-sensing up to [window]
-    prefixes via {!View.drop_latest}), so one-shot calls on arbitrary
-    views behave exactly as before.  When tracing is on, each raw
+    The instance keeps a ring buffer of the last [window] raw verdicts
+    plus a running negative count, so each round costs one base-sensor
+    observation and O(1) bookkeeping.  When tracing is on, each raw
     negative that the window masks to [Positive] emits a {!Trace.Sense}
     event whose sensor name carries a ["/mask"] suffix ([clock] = raw
     negatives in the window, [patience] = [threshold]).
@@ -130,7 +113,10 @@ val tolerant : window:int -> threshold:int -> t -> t
 val corrupt_unsafe :
   flip_to_positive:float -> Goalcom_prelude.Rng.t -> t -> t
 (** Ablation helper: with the given probability a [Negative] indication
-    is reported as [Positive] — breaking safety while keeping viability. *)
+    is reported as [Positive] — breaking safety while keeping viability.
+    One draw from the generator per [Negative] the wrapped sensor
+    reports, in round order; the empty-view verdict is drawn only if it
+    is read. *)
 
 val corrupt_unviable : t -> t
 (** Ablation helper: all indications become [Negative] — trivially safe

@@ -60,7 +60,7 @@ let memo_get m i =
       s
 
 (* The view event a pending (obs, act) round contributes — exactly what
-   {!View.of_history} would build: the event for round r pairs the
+   {!View.fold_events} yields: the event for round r pairs the
    round-r sends with the observations the user acted on in round r.
    Sensing absorbs the completed rounds one event at a time. *)
 let pending_event ((obs : Io.User.obs), (act : Io.User.act)) =
@@ -347,8 +347,7 @@ let finite_par ?schedule ?(max_slots = 64) ?jobs ?pool ?config ~enum ~sensing
       let history = Exec.run ~config ~goal ~user ~server rngs.(i) in
       if cancelled () then None
       else begin
-        (if sensing.Sensing.sense (View.of_history history) = Sensing.Positive
-         then
+        (if Sensing.final sensing history = Sensing.Positive then
            let rec lower () =
              let cur = Atomic.get best in
              if i < cur && not (Atomic.compare_and_set best cur i) then

@@ -60,7 +60,7 @@ val delay : rounds:int -> t
 val drop : prob:float -> t
 (** Each non-silent inbound message is lost with probability [prob]
     ({!Goalcom_servers.Channel.drop_inbound}).  [drop ~prob:0. = nop].
-    @raise Invalid_argument outside [0..1]. *)
+    @raise Invalid_argument outside [0..1] (NaN included). *)
 
 val duplicate : t
 (** Every non-silent outbound message is delivered twice
@@ -72,7 +72,8 @@ val corrupt : alphabet:int -> prob:float -> t
     valid} symbol of the [alphabet] (via the mixed-radix coding, so the
     corrupted command still parses), integers get a low bit flipped,
     texts one character, pairs/sequences one random component.
-    [corrupt ~prob:0. = nop].  @raise Invalid_argument on bad args. *)
+    [corrupt ~prob:0. = nop].  @raise Invalid_argument on bad args
+    ([prob] outside [0..1], NaN included). *)
 
 val reorder : skew:int -> t
 (** Messages in each direction may overtake each other, but no message
@@ -83,7 +84,7 @@ val burst : p_enter:float -> p_exit:float -> drop_prob:float -> t
 (** Gilbert–Elliott bursty loss: a two-state Markov chain (good/bad)
     shared by both directions; in the bad state each non-silent message
     is dropped with [drop_prob].  @raise Invalid_argument on
-    probabilities outside [0..1]. *)
+    probabilities outside [0..1] (NaN included). *)
 
 (** {1 Server-level faults} *)
 

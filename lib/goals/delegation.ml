@@ -187,7 +187,7 @@ let user_class ~alphabet dialects =
    a satisfying relay, and — until the formula arrives — a buffer of the
    to_world messages sent so far, retro-checked the moment the formula
    is decoded (an assignment relayed before the task was readable still
-   counts, as it does for the whole-view predicate). *)
+   counts, as it would for a predicate over the whole view). *)
 let sensing =
   let satisfies cnf m =
     match Codec.assignment_opt ~num_vars:cnf.Cnf.num_vars m with

@@ -37,7 +37,7 @@ let delayed ~rounds base =
    the same wrapped strategy never share RNG state and replays with the
    same execution seed reproduce the same losses. *)
 let drop_inbound ~drop_prob base =
-  if drop_prob < 0. || drop_prob > 1. then
+  if not (drop_prob >= 0. && drop_prob <= 1.) then
     invalid_arg "Channel.drop_inbound: drop_prob out of range";
   let module I = Strategy.Instance in
   Strategy.make

@@ -83,6 +83,35 @@ let make ?(classes = []) ~max_live ~queue_capacity () =
     shed = 0;
   }
 
+let classes_of_string spec =
+  let bad part =
+    Error
+      (Printf.sprintf
+         "Admission.classes_of_string: bad entry %S (want CLASS=WEIGHT with \
+          WEIGHT >= 1)"
+         part)
+  in
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | part :: rest -> (
+        match String.index_opt part '=' with
+        | None -> bad part
+        | Some i -> (
+            let cname = String.trim (String.sub part 0 i) in
+            let w =
+              String.trim (String.sub part (i + 1) (String.length part - i - 1))
+            in
+            match int_of_string_opt w with
+            | Some w when w >= 1 && cname <> "" ->
+                if List.mem_assoc cname acc then
+                  Error
+                    (Printf.sprintf
+                       "Admission.classes_of_string: duplicate class %S" cname)
+                else go ((cname, w) :: acc) rest
+            | _ -> bad part))
+  in
+  if String.trim spec = "" then Ok [] else go [] (String.split_on_char ',' spec)
+
 let class_index t cname =
   let rec go i =
     if i >= Array.length t.classes then t.default_class

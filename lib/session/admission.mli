@@ -32,6 +32,12 @@ val make :
     if [max_live < 1], [queue_capacity < 0], a weight is [< 1], or a
     class name repeats. *)
 
+val classes_of_string : string -> ((string * int) list, string) result
+(** Parse [CLASS=WEIGHT[,CLASS=WEIGHT..]] (the [--class-weights] spec)
+    into {!make}'s [classes]: names are trimmed and non-empty, weights
+    are integers [>= 1], and a name may appear once.  The empty (or
+    blank) spec is [Ok []].  Every [Ok] is accepted by {!make}. *)
+
 val has_capacity : t -> bool
 
 val claim : t -> unit

@@ -120,9 +120,19 @@ let test_spec_parser () =
   (match Fault.of_string ~alphabet "bogus:1" with
   | Ok _ -> Alcotest.fail "bogus spec accepted"
   | Error _ -> ());
-  match Fault.of_string ~alphabet "drop:1.5" with
-  | Ok _ -> Alcotest.fail "out-of-range prob accepted"
-  | Error _ -> ()
+  (* NaN compares false both ways: each probability must still be
+     rejected, not turned into a silent no-op wrapper. *)
+  List.iter
+    (fun spec ->
+      match Fault.of_string ~alphabet spec with
+      | Ok f ->
+          Alcotest.failf "out-of-range prob %S accepted as %s" spec (Fault.name f)
+      | Error _ -> ())
+    [
+      "drop:1.5"; "drop:nan"; "drop:-nan"; "loss:nan"; "corrupt:nan";
+      "corrupt:1.5"; "burst:nan,0.1,0.9"; "burst:0.1,nan,0.9";
+      "burst:0.1,0.2,nan"; "burst:1.5,0.2,0.9";
+    ]
 
 (* Malformed specs must come back with an error a user can act on: the
    offending token, and — for unknown names — the full vocabulary. *)
@@ -197,6 +207,7 @@ let test_loss_alias () =
   check_contains "loss:0.1,0.2" "\"loss\" wants the form loss:P";
   check_contains "loss:1.5" "prob";
   check_contains "loss:-0.1" "prob";
+  check_contains "loss:nan" "prob";
   (* The alias is advertised in the unknown-name vocabulary. *)
   check_contains "bogus:1" "loss:P"
 
@@ -305,7 +316,7 @@ let magic_goal k =
   Goal.make
     ~name:(Printf.sprintf "magic-%d" k)
     ~worlds:[ magic_world k ]
-    ~referee:(Referee.finite "heard" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Referee.finite_exists "heard" (Msg.equal (Msg.Text "done")))
 
 let sender i =
   Strategy.make
@@ -319,10 +330,10 @@ let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
 
 let done_sensing =
-  Sensing.of_predicate ~name:"done" (fun view ->
+  Legacy.of_predicate ~name:"done" (fun view ->
       List.exists
         (fun e -> e.View.from_world = Msg.Text "done")
-        (View.events_rev view))
+        (Legacy.View.events_rev view))
 
 let test_finite_checkpoint_resumes_schedule () =
   let cp = Universal.new_checkpoint () in
@@ -369,17 +380,14 @@ let compact_goal k =
     ~name:(Printf.sprintf "compact-magic-%d" k)
     ~worlds:[ compact_world k ]
     ~referee:
-      (Referee.compact "streak-alive" (fun views_rev ->
+      (Legacy.compact "streak-alive" (fun views_rev ->
            match views_rev with
            | Msg.Int streak :: rest -> streak > 0 || List.length rest < 5
            | _ -> true))
 
 let streak_sensing =
-  Sensing.of_predicate ~name:"streak-alive" (fun view ->
-      match View.latest view with
-      | Some { View.from_world = Msg.Int streak; _ } -> streak > 0
-      | Some _ -> false
-      | None -> true)
+  Sensing.of_latest ~name:"streak-alive" ~empty:true (fun e ->
+      match e.View.from_world with Msg.Int streak -> streak > 0 | _ -> false)
 
 let test_compact_checkpoint_resumes_index () =
   let cp = Universal.new_checkpoint () in
@@ -486,17 +494,19 @@ let event ~round from_world =
     halted = false;
   }
 
-let view_of_worlds ws =
-  List.fold_left
-    (fun (v, r) w -> (View.extend v (event ~round:r w), r + 1))
-    (View.empty, 1) ws
-  |> fst
+(* A sensor's verdict after observing one event per listed world
+   message. *)
+let sense_worlds sensor ws =
+  let st, _ =
+    List.fold_left
+      (fun (st, r) w -> (Sensing.observe st (event ~round:r w), r + 1))
+      (Sensing.start sensor, 1) ws
+  in
+  Sensing.verdict st
 
 let bad_latest =
-  Sensing.of_predicate ~name:"latest-ok" (fun view ->
-      match View.latest view with
-      | Some { View.from_world = Msg.Int 0; _ } -> false
-      | _ -> true)
+  Sensing.of_latest ~name:"latest-ok" ~empty:true (fun e ->
+      e.View.from_world <> Msg.Int 0)
 
 let pp_verdict ppf = function
   | Sensing.Positive -> Format.pp_print_string ppf "Positive"
@@ -507,23 +517,22 @@ let verdict_t = Alcotest.testable pp_verdict ( = )
 let test_tolerant_filters_transients () =
   let tol = Sensing.tolerant ~window:3 ~threshold:2 bad_latest in
   (* One bad round in the window: filtered. *)
-  let blip = view_of_worlds [ Msg.Int 1; Msg.Int 1; Msg.Int 0 ] in
+  let blip = [ Msg.Int 1; Msg.Int 1; Msg.Int 0 ] in
   Alcotest.check verdict_t "raw verdict negative" Sensing.Negative
-    (bad_latest.Sensing.sense blip);
+    (sense_worlds bad_latest blip);
   Alcotest.check verdict_t "single blip tolerated" Sensing.Positive
-    (tol.Sensing.sense blip);
+    (sense_worlds tol blip);
   (* Two bad rounds in the window: reported. *)
-  let streaky = view_of_worlds [ Msg.Int 1; Msg.Int 0; Msg.Int 0 ] in
+  let streaky = [ Msg.Int 1; Msg.Int 0; Msg.Int 0 ] in
   Alcotest.check verdict_t "persistent failure reported" Sensing.Negative
-    (tol.Sensing.sense streaky)
+    (sense_worlds tol streaky)
 
 let test_tolerant_1_of_1_is_identity () =
   let tol = Sensing.tolerant ~window:1 ~threshold:1 bad_latest in
   List.iter
     (fun ws ->
-      let v = view_of_worlds ws in
       Alcotest.check verdict_t "agrees with base"
-        (bad_latest.Sensing.sense v) (tol.Sensing.sense v))
+        (sense_worlds bad_latest ws) (sense_worlds tol ws))
     [ [ Msg.Int 0 ]; [ Msg.Int 1 ]; [ Msg.Int 0; Msg.Int 1 ]; [ Msg.Int 1; Msg.Int 0 ] ]
 
 let test_tolerant_validation () =

@@ -83,7 +83,7 @@ let test_checker_catches_unforgiving_goal () =
   in
   let goal =
     Goal.make ~name:"fragile" ~worlds:[ world ]
-      ~referee:(Referee.finite "done" (fun views -> List.mem (Msg.Text "done") views))
+      ~referee:(Referee.finite_exists "done" (Msg.equal (Msg.Text "done")))
   in
   let rescuer =
     Strategy.make ~name:"send7-halt"

@@ -16,7 +16,7 @@ let world =
 
 let goal =
   Goal.make ~name:"toy" ~worlds:[ world ]
-    ~referee:(Referee.finite "done" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Referee.finite_exists "done" (Msg.equal (Msg.Text "done")))
 
 let winner =
   Strategy.make ~name:"winner"

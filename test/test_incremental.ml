@@ -3,10 +3,10 @@
    The O(n) folds ([Referee.violations], [Sensing.verdicts]) replaced a
    quadratic prefix re-evaluation; the refactor's contract is that they
    agree with the legacy evaluation prefix for prefix, on arbitrary
-   histories.  The quadratic oracle is kept in the library as
-   [Referee.violations_prefix]; the sensing oracle is each sensor's
-   whole-view [sense] face applied to every [View.prefixes] element,
-   plus [Sensing.make]-based reference twins of the native
+   histories.  The oracles live in the test-side [Legacy] module: the
+   list-predicate referees and their quadratic prefix judges, and each
+   sensor's whole-view function applied to every [Legacy.View.prefixes]
+   element, plus [Legacy.sensing]-based reference twins of the library
    constructors. *)
 
 open Goalcom
@@ -76,9 +76,9 @@ let hk_arb = QCheck.make QCheck.Gen.(pair history_gen k_gen)
 (* --- referees: incremental folds vs the quadratic prefix oracle --- *)
 
 (* Legacy list-predicate referee with a genuinely prefix-dependent
-   predicate (a count over the whole most-recent-first list): the
-   [Compact_pred] adapter inside [violations] must reproduce the
-   one-predicate-call-per-prefix results exactly. *)
+   predicate (a count over the whole most-recent-first list): its fold
+   adapter must reproduce the one-predicate-call-per-prefix results
+   exactly. *)
 let prop_compact_legacy_fold_eq_prefix =
   QCheck.Test.make ~count
     ~name:"Referee: legacy compact fold = prefix oracle (list predicate)"
@@ -87,8 +87,8 @@ let prop_compact_legacy_fold_eq_prefix =
       let acceptable views =
         Listx.count (fun v -> not (view_pred k v)) views <= k
       in
-      let r = Referee.compact "legacy-count" acceptable in
-      Referee.violations r h = Referee.violations_prefix r h)
+      let r = Legacy.compact "legacy-count" acceptable in
+      Referee.violations r h = Legacy.compact_violations acceptable h)
 
 (* Native incremental referee vs its legacy twin: stateless head check. *)
 let prop_incr_stateless_eq_legacy =
@@ -100,15 +100,12 @@ let prop_incr_stateless_eq_legacy =
           ~init:(fun _v0 -> ((), `Ok))
           ~step:(fun () v -> ((), Referee.verdict_of_bool (view_pred k v)))
       in
-      let legacy =
-        Referee.compact "legacy-head" (function
-          | v :: _ -> view_pred k v
-          | [] -> true)
-      in
+      let head = function v :: _ -> view_pred k v | [] -> true in
+      let legacy = Legacy.compact "legacy-head" head in
       let vs = Referee.violations incr h in
       vs = Referee.violations legacy h
-      && vs = Referee.violations_prefix legacy h
-      && vs = Referee.violations_prefix incr h)
+      && vs = Legacy.compact_violations head h
+      && vs = Legacy.violations_prefix incr h)
 
 (* Native incremental referee vs its legacy twin: stateful count over
    the whole prefix (including the initial world view). *)
@@ -124,13 +121,11 @@ let prop_incr_stateful_eq_legacy =
             let c = if bad v then c + 1 else c in
             (c, Referee.verdict_of_bool (c <= k)))
       in
-      let legacy =
-        Referee.compact "legacy-count" (fun views ->
-            Listx.count bad views <= k)
-      in
+      let acceptable views = Listx.count bad views <= k in
+      let legacy = Legacy.compact "legacy-count" acceptable in
       let vs = Referee.violations incr h in
       vs = Referee.violations legacy h
-      && vs = Referee.violations_prefix legacy h)
+      && vs = Legacy.compact_violations acceptable h)
 
 (* Violation lists are sorted round indices within 1..length. *)
 let prop_violations_sorted_bounded =
@@ -147,21 +142,21 @@ let prop_violations_sorted_bounded =
       && List.sort compare vs = vs)
 
 (* finite_exists = List.exists over the world views, and agrees with a
-   legacy [Referee.finite] twin. *)
+   legacy list-predicate twin. *)
 let prop_finite_exists_eq_list_exists =
   QCheck.Test.make ~count ~name:"Referee: finite_exists = List.exists"
     hk_arb
     (fun (h, k) ->
       let p v = not (view_pred k v) in
       let incr = Referee.finite_exists "seen-bad" p in
-      let legacy = Referee.finite "seen-bad-legacy" (List.exists p) in
+      let legacy = Legacy.finite "seen-bad-legacy" (List.exists p) in
       let expected = List.exists p (History.world_views h) in
       Referee.decide_finite incr h = expected
       && Referee.decide_finite legacy h = expected
       && Referee.violations incr h
          = (if expected then [] else [ History.length h ]))
 
-(* Stateful finite_incremental vs its Finite_pred twin. *)
+(* Stateful finite_incremental vs its list-predicate twin. *)
 let prop_finite_incremental_eq_legacy =
   QCheck.Test.make ~count
     ~name:"Referee: finite_incremental (stateful) = legacy twin" hk_arb
@@ -176,41 +171,45 @@ let prop_finite_incremental_eq_legacy =
             let c = if bad v then c + 1 else c in
             (c, Referee.verdict_of_bool (c mod 2 = 0)))
       in
-      let legacy =
-        Referee.finite "count-even-legacy" (fun views ->
-            Listx.count bad views mod 2 = 0)
-      in
-      Referee.decide_finite incr h = Referee.decide_finite legacy h)
+      let decide views = Listx.count bad views mod 2 = 0 in
+      let legacy = Legacy.finite "count-even-legacy" decide in
+      let expected = decide (History.world_views h) in
+      Referee.decide_finite incr h = expected
+      && Referee.decide_finite legacy h = expected)
 
-(* decider exposes the whole-list decision of a finite referee. *)
+(* The legacy decider (the whole-list decision of a finite referee, as
+   the multi-session oracle world uses it) folds the referee's judge. *)
 let prop_decider_eq_exists =
   QCheck.Test.make ~count ~name:"Referee: decider = List.exists"
     (QCheck.make
        QCheck.Gen.(pair (list_size (1 -- 12) msg_gen) k_gen))
     (fun (views, k) ->
       let p v = not (view_pred k v) in
-      Referee.decider (Referee.finite_exists "seen" p) views
+      Legacy.decider (Referee.finite_exists "seen" p) views
       = List.exists p views)
 
-(* --- sensing: incremental face vs the whole-view face --- *)
+(* --- sensing: the fold vs the whole-view oracle --- *)
 
 let event_pred k (e : View.event) = not (view_pred k e.View.from_world)
 
-(* The library-wide sensing contract: the verdict stream of the
-   incremental face equals the whole-view [sense] face applied to every
-   prefix of the projected view.  For [tolerant] the sense face is the
-   legacy drop_latest re-evaluation, so this is exactly
+(* The library-wide sensing contract: the verdict stream of the fold
+   equals the sensor's whole-view function applied to every prefix of
+   the projected view, and the fold's final verdict equals that
+   function on the whole view.  For [tolerant] the whole-view function
+   is the legacy drop_latest re-evaluation, so this is exactly
    incremental-vs-legacy. *)
-let sense_face_agrees sensor h =
-  List.map snd (Sensing.verdicts sensor h)
-  = List.map sensor.Sensing.sense (View.prefixes h)
+let sense_face_agrees sensor (sense : Legacy.sense) h =
+  List.map snd (Sensing.verdicts sensor h) = Legacy.verdicts sense h
+  && Sensing.final sensor h = sense (Legacy.View.of_history h)
 
 let prop_of_latest_face =
   QCheck.Test.make ~count ~name:"Sensing: of_latest incremental = sense"
     hk_arb
     (fun (h, k) ->
+      let empty = k mod 2 = 0 in
       sense_face_agrees
-        (Sensing.of_latest ~name:"latest" ~empty:(k mod 2 = 0) (event_pred k))
+        (Sensing.of_latest ~name:"latest" ~empty (event_pred k))
+        (Legacy.of_latest ~empty (event_pred k))
         h)
 
 let prop_of_recent_face =
@@ -219,6 +218,7 @@ let prop_of_recent_face =
     (fun (h, k, window) ->
       sense_face_agrees
         (Sensing.of_recent ~name:"recent" ~window (event_pred k))
+        (Legacy.of_recent ~window (event_pred k))
         h)
 
 let prop_incremental_face =
@@ -226,21 +226,22 @@ let prop_incremental_face =
     ~name:"Sensing: incremental (stateful) = make twin" hk_arb
     (fun (h, k) ->
       (* "fewer than k+1 negative events so far" — genuinely stateful. *)
-      let incr =
-        Sensing.incremental ~name:"few-negs"
-          ~init:(fun () -> (0, Sensing.Positive))
-          ~step:(fun negs e ->
-            let negs = if event_pred k e then negs else negs + 1 in
-            (negs, if negs <= k then Sensing.Positive else Sensing.Negative))
+      let init () = (0, Sensing.Positive) in
+      let step negs e =
+        let negs = if event_pred k e then negs else negs + 1 in
+        (negs, if negs <= k then Sensing.Positive else Sensing.Negative)
       in
+      let incr = Sensing.incremental ~name:"few-negs" ~init ~step in
       let twin =
-        Sensing.make ~name:"few-negs-twin" (fun view ->
+        Legacy.sensing ~name:"few-negs-twin" (fun view ->
             let negs =
-              Listx.count (fun e -> not (event_pred k e)) (View.events view)
+              Listx.count
+                (fun e -> not (event_pred k e))
+                (Legacy.View.events view)
             in
             if negs <= k then Sensing.Positive else Sensing.Negative)
       in
-      sense_face_agrees incr h
+      sense_face_agrees incr (Legacy.replay ~init ~step) h
       && Sensing.verdicts incr h = Sensing.verdicts twin h)
 
 let prop_of_latest_eq_make_twin =
@@ -251,8 +252,8 @@ let prop_of_latest_eq_make_twin =
         Sensing.of_latest ~name:"latest" ~empty (event_pred k)
       in
       let twin =
-        Sensing.make ~name:"latest-twin" (fun view ->
-            match View.latest view with
+        Legacy.sensing ~name:"latest-twin" (fun view ->
+            match Legacy.View.latest view with
             | None -> if empty then Sensing.Positive else Sensing.Negative
             | Some e ->
                 if event_pred k e then Sensing.Positive else Sensing.Negative)
@@ -265,10 +266,10 @@ let prop_of_recent_eq_make_twin =
     (fun (h, k, window) ->
       let native = Sensing.of_recent ~name:"recent" ~window (event_pred k) in
       let twin =
-        Sensing.make ~name:"recent-twin" (fun view ->
+        Legacy.sensing ~name:"recent-twin" (fun view ->
             if
               List.exists (event_pred k)
-                (Listx.take window (View.events_rev view))
+                (Listx.take window (Legacy.View.events_rev view))
             then Sensing.Positive
             else Sensing.Negative)
       in
@@ -298,8 +299,44 @@ let prop_tolerant_face_and_reference =
             done;
             if !negs >= threshold then Sensing.Negative else Sensing.Positive)
       in
-      sense_face_agrees tolerant h
+      sense_face_agrees tolerant
+        (Legacy.tolerant ~window ~threshold
+           (Legacy.of_latest ~empty:true (event_pred k)))
+        h
       && List.map snd (Sensing.verdicts tolerant h) = expected)
+
+(* The corruption wrapper as a fold draws exactly what the whole-view
+   wrapper drew: one Bernoulli per Negative the base sensor reports, in
+   round order, and the empty-view draw only when that verdict is read
+   (here it is, before the first round, as [halt_on_positive] does). *)
+let prop_corrupt_unsafe_eq_whole_view =
+  QCheck.Test.make ~count ~name:"Sensing: corrupt_unsafe fold = whole-view"
+    (QCheck.make QCheck.Gen.(triple history_gen k_gen (int_bound 1_000)))
+    (fun (h, k, seed) ->
+      let empty = k mod 2 = 0 in
+      let base = Sensing.of_latest ~name:"base" ~empty (event_pred k) in
+      let base_sense = Legacy.of_latest ~empty (event_pred k) in
+      let flip_to_positive = 0.4 in
+      let corrupt =
+        Sensing.corrupt_unsafe ~flip_to_positive (Rng.make seed) base
+      in
+      let rng = Rng.make seed in
+      let corrupt_sense view =
+        match base_sense view with
+        | Sensing.Positive -> Sensing.Positive
+        | Sensing.Negative ->
+            if Rng.bernoulli rng flip_to_positive then Sensing.Positive
+            else Sensing.Negative
+      in
+      let st = Sensing.start corrupt in
+      let v0 = Sensing.verdict st in
+      let expected_v0 = corrupt_sense Legacy.View.empty in
+      let _, got =
+        Goalcom.View.fold_events h ~init:(st, []) ~f:(fun (st, acc) e ->
+            let st = Sensing.observe st e in
+            (st, Sensing.verdict st :: acc))
+      in
+      v0 = expected_v0 && List.rev got = Legacy.verdicts corrupt_sense h)
 
 (* --- ring-buffer edge cases --- *)
 
@@ -377,15 +414,12 @@ let test_tolerant_validation () =
     (Invalid_argument "Sensing.tolerant: threshold must be in 1..window")
     (fun () -> ignore (Sensing.tolerant ~window:3 ~threshold:4 base_sensor))
 
-let test_decider_compact_rejected () =
+let test_compact_rejected () =
   let r =
     Referee.compact_incremental "c"
       ~init:(fun _ -> ((), `Ok))
       ~step:(fun () _ -> ((), `Ok))
   in
-  Alcotest.check_raises "decider on compact"
-    (Invalid_argument "Referee.decider: compact referee") (fun () ->
-      ignore (Referee.decider r [ Msg.Silence ]));
   Alcotest.check_raises "decide_finite on compact"
     (Invalid_argument "Referee.decide_finite: compact referee") (fun () ->
       ignore (Referee.decide_finite r (History.make ~initial_world_view:Msg.Silence [])))
@@ -474,9 +508,9 @@ let prop_fold_eq_legacy_judge =
       let bad v = not (view_pred k v) in
       let referees =
         [
-          Referee.finite "legacy-parity" (fun views ->
+          Legacy.finite "legacy-parity" (fun views ->
               Listx.count bad views mod 2 = 0);
-          Referee.compact "legacy-count" (fun views ->
+          Legacy.compact "legacy-count" (fun views ->
               Listx.count bad views <= k);
           Referee.finite_exists "seen-bad" bad;
           Referee.compact_incremental "head"
@@ -759,6 +793,7 @@ let suite =
       prop_of_latest_eq_make_twin;
       prop_of_recent_eq_make_twin;
       prop_tolerant_face_and_reference;
+      prop_corrupt_unsafe_eq_whole_view;
       prop_history_length_prefix;
       prop_fold_eq_legacy_judge;
       prop_fold_achieved_view;
@@ -784,6 +819,6 @@ let () =
           Alcotest.test_case "eviction" `Quick test_tolerant_eviction;
           Alcotest.test_case "validation" `Quick test_tolerant_validation;
           Alcotest.test_case "compact rejected" `Quick
-            test_decider_compact_rejected;
+            test_compact_rejected;
         ] );
     ]

@@ -18,7 +18,7 @@ let world =
 
 let goal =
   Goal.make ~name:"hear7" ~worlds:[ world ]
-    ~referee:(Referee.finite "heard" (fun views -> List.mem (Msg.Text "done") views))
+    ~referee:(Referee.finite_exists "heard" (Msg.equal (Msg.Text "done")))
 
 let relay_server =
   Strategy.stateless ~name:"relay" (fun (obs : Io.Server.obs) ->
@@ -33,10 +33,10 @@ let sender n =
     ~step:(fun _rng () (_ : Io.User.obs) -> ((), Io.User.say_server (Msg.Int n)))
 
 let good_sensing =
-  Sensing.of_predicate ~name:"world-done" (fun view ->
+  Legacy.of_predicate ~name:"world-done" (fun view ->
       List.exists
         (fun e -> e.View.from_world = Msg.Text "done")
-        (View.events_rev view))
+        (Legacy.View.events_rev view))
 
 let run user =
   Exec.run ~config:(Exec.config ~horizon:30 ()) ~goal ~user ~server:relay_server
@@ -67,11 +67,16 @@ let test_negatives_after () =
     (Sensing.negatives_after good_sensing h (History.length h))
 
 let test_constant_and_predicate () =
-  let v = View.empty in
-  Alcotest.(check bool) "const pos" true
-    ((Sensing.constant Sensing.Positive).Sensing.sense v = Sensing.Positive);
-  Alcotest.(check bool) "const neg" true
-    ((Sensing.constant Sensing.Negative).Sensing.sense v = Sensing.Negative)
+  let h = run (sender 7) in
+  List.iter
+    (fun v ->
+      let c = Sensing.constant v in
+      Alcotest.(check bool) "empty view" true
+        (Sensing.verdict (Sensing.start c) = v);
+      Alcotest.(check bool) "every round" true
+        (List.for_all (fun (_, v') -> v' = v) (Sensing.verdicts c h));
+      Alcotest.(check bool) "whole view" true (Sensing.final c h = v))
+    [ Sensing.Positive; Sensing.Negative ]
 
 let test_corrupt_unviable () =
   let broken = Sensing.corrupt_unviable good_sensing in

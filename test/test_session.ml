@@ -182,6 +182,11 @@ let test_admission_drains_leading_terminals () =
   Alcotest.(check int) "no capacity: nothing tried" 0 !tried;
   Alcotest.(check int) "dead heads gone in one pass" 1 (Admission.queued a)
 
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn = 0 || go 0
+
 (* --- Arrival ---------------------------------------------------------- *)
 
 let arrival_of spec =
@@ -227,6 +232,45 @@ let test_arrival_parse () =
       Arrival.Constant 5;
       Arrival.Poisson 3.25;
       Arrival.Mmpp { rates = [| 0.5; 12. |]; switch = 0.125 };
+    ]
+
+(* --- Class weights ---------------------------------------------------- *)
+
+(* The --class-weights spec: each accepted spec parses to the listed
+   classes and is accepted by [Admission.make]; each rejected one names
+   its reason instead of raising. *)
+let test_class_weights_parse () =
+  List.iter
+    (fun (spec, want) ->
+      match Admission.classes_of_string spec with
+      | Error e -> Alcotest.failf "%S rejected: %s" spec e
+      | Ok classes ->
+          Alcotest.(check (list (pair string int))) spec want classes;
+          ignore (Admission.make ~classes ~max_live:1 ~queue_capacity:0 ()))
+    [
+      ("", []);
+      ("  ", []);
+      ("printing=3,maze-corridor=1", [ ("printing", 3); ("maze-corridor", 1) ]);
+      (" a = 2 , b=1", [ ("a", 2); ("b", 1) ]);
+      ("default=4", [ ("default", 4) ]);
+    ];
+  List.iter
+    (fun (spec, reason) ->
+      match Admission.classes_of_string spec with
+      | Ok _ -> Alcotest.failf "%S accepted" spec
+      | Error e ->
+          if not (contains e reason) then
+            Alcotest.failf "error for %S does not say %S: %s" spec reason e)
+    [
+      ("printing=3,printing=1", "duplicate class \"printing\"");
+      ("a=1,a=2", "duplicate class \"a\"");
+      ("default=1,default=2", "duplicate class");
+      ("a=0", "WEIGHT >= 1");
+      ("a=-1", "WEIGHT >= 1");
+      ("a=x", "bad entry \"a=x\"");
+      ("=3", "bad entry");
+      ("a", "bad entry \"a\"");
+      ("a=1,", "bad entry \"\"");
     ]
 
 let test_arrival_draws () =
@@ -368,11 +412,6 @@ let test_arrival_huge_rate_terminates () =
 
 (* --- Chaos ------------------------------------------------------------ *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn = 0 || go 0
-
 let chaos_of spec =
   match Chaos.of_string ~alphabet:4 spec with
   | Ok c -> c
@@ -406,7 +445,15 @@ let test_chaos_parse_errors () =
   Alcotest.(check bool) "bad probability" true
     (contains (err "burst:1.5@1..10") "P in [0,1]");
   Alcotest.(check bool) "bad embedded fault stack" true
-    (contains (err "fault:bogus:1") "unknown fault")
+    (contains (err "fault:bogus:1") "unknown fault");
+  (* NaN compares false both ways, so a [p < 0. || p > 1.] range check
+     used to let it through. *)
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool) (spec ^ " rejected") true (contains (err spec) "range"))
+    [ "fault:corrupt:nan"; "fault:drop:nan"; "fault:burst:nan,0.1,0.1" ];
+  Alcotest.(check bool) "NaN burst probability" true
+    (contains (err "burst:nan@1..10") "P in [0,1]")
 
 (* --- Engine ----------------------------------------------------------- *)
 
@@ -671,6 +718,7 @@ let suite =
     ("admission blocked class no starvation", `Quick, test_admission_blocked_class_no_starvation);
     ("admission drains leading terminals", `Quick, test_admission_drains_leading_terminals);
     ("arrival parse", `Quick, test_arrival_parse);
+    ("class weights parse", `Quick, test_class_weights_parse);
     ("arrival draws", `Quick, test_arrival_draws);
     QCheck_alcotest.to_alcotest prop_arrival_matches_old_sampler;
     QCheck_alcotest.to_alcotest prop_arrival_stops_at_remaining;

@@ -34,7 +34,7 @@ let both_done view =
 
 let goal =
   Goal.make ~name:"mutual-greeting" ~worlds:[ world ]
-    ~referee:(Referee.finite "both-greeted" (fun views -> List.exists both_done views))
+    ~referee:(Referee.finite_exists "both-greeted" both_done)
 
 (* An initiator peer speaking dialect d: greets the counterpart, and
    greets the world once greeted back; halts when the world reports
@@ -98,10 +98,8 @@ let test_universal_peer_adapts () =
   (* Peer A runs the finite universal construction over initiator
      dialects; peer B is a fixed responder with an unknown dialect. *)
   let sensing =
-    Sensing.of_predicate ~name:"both-done" (fun view ->
-        match View.latest view with
-        | Some e -> both_done e.View.from_world
-        | None -> false)
+    Sensing.of_latest ~name:"both-done" ~empty:false (fun e ->
+        both_done e.View.from_world)
   in
   List.iter
     (fun i ->

@@ -89,7 +89,7 @@ let compact_goal k =
     ~name:(Printf.sprintf "compact-magic-%d" k)
     ~worlds:[ compact_world k ]
     ~referee:
-      (Referee.compact "streak-alive" (fun views_rev ->
+      (Legacy.compact "streak-alive" (fun views_rev ->
            match views_rev with
            | Msg.Int streak :: rest -> streak > 0 || List.length rest < 5
            | _ -> true))
@@ -106,10 +106,8 @@ let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
 
 let streak_sensing =
-  Sensing.of_predicate ~name:"streak" (fun view ->
-      match View.latest view with
-      | Some e -> e.View.from_world <> Msg.Int 0
-      | None -> false)
+  Sensing.of_latest ~name:"streak" ~empty:false (fun e ->
+      e.View.from_world <> Msg.Int 0)
 
 let compact_trace ~k ~n ~grace ~retries ~seed =
   let user =

@@ -36,7 +36,7 @@ let xor_goal b =
   Goal.make
     ~name:(Printf.sprintf "xor(b=%d)" b)
     ~worlds:[ xor_world b ]
-    ~referee:(Referee.finite "converged" (fun views -> List.mem (Msg.Int 2) views))
+    ~referee:(Referee.finite_exists "converged" (Msg.equal (Msg.Int 2)))
 
 let idle_server =
   Strategy.stateless ~name:"idle" (fun (_ : Io.Server.obs) -> Io.Server.silent)
@@ -45,7 +45,5 @@ let read = Machine_user.read_world_int ~cap:3
 let write = Machine_user.write_world_sym
 
 let sensing =
-  Sensing.of_predicate ~name:"done" (fun view ->
-      match View.latest view with
-      | Some { View.from_world = Msg.Int 2; _ } -> true
-      | Some _ | None -> false)
+  Sensing.of_latest ~name:"done" ~empty:false (fun e ->
+      e.View.from_world = Msg.Int 2)
