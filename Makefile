@@ -12,13 +12,18 @@ test:
 
 # Everything the CI gate requires, in order.  `test` includes the
 # parallel determinism suite (test_par: qcheck run_par = run equality,
-# racer winner agreement, pool internals).
+# racer winner agreement, pool internals) and the CLI goldens
+# (test/cli/*.t cram transcripts of every command, --help page and
+# error case).
 check: build test
 
 # Mirror of .github/workflows/ci.yml: build, test, trace smoke +
 # analytics, parallel smoke, scheduling smoke, arrival-rate cap,
 # class-weights duplicate, examples smoke, chaos smoke, live-stats smoke, golden drift, sessbench smokes (net, storm),
-# bench gate.  Run before pushing.
+# bench gate.  Run before pushing.  After a deliberate CLI change the
+# test/cli goldens fail with a diff: review it, then `dune promote`
+# rewrites the .t files (and `goalcom trace-golden test/golden`
+# regenerates the trace goldens).
 ci: check
 	dune exec bin/main.exe -- run e17 --jobs 2
 	GOALCOM_E19_TRIALS=10 dune exec bin/main.exe -- run e19 --jobs 2

@@ -503,9 +503,12 @@ let measure_trace_overhead ~rounds ~budget () =
   let config, goal, user, server = trace_kernel_setup () in
   (* Replica fidelity: same seed, same history, or the baseline is not
      measuring the same work. *)
+  let rounds_rev h =
+    History.fold_rounds h ~init:[] ~f:(fun acc r -> r :: acc)
+  in
   let fidelity =
-    History.rounds (replica_run ~config ~goal ~user ~server (Rng.make seed))
-    = History.rounds (Exec.run ~config ~goal ~user ~server (Rng.make seed))
+    rounds_rev (replica_run ~config ~goal ~user ~server (Rng.make seed))
+    = rounds_rev (Exec.run ~config ~goal ~user ~server (Rng.make seed))
   in
   if not fidelity then
     failwith "trace overhead: replica loop diverged from Exec.run";

@@ -1,31 +1,5 @@
-(* goalcom — CLI for the goal-oriented-communication library.
-
-   Subcommands:
-     list                      enumerate the experiment registry
-     run <id> [--seed] [--csv] run one experiment ([--trace FILE] writes
-                               a JSONL execution trace; [--jobs N] sets
-                               the domain count for parallel entry points)
-     all [--seed] [--jobs N]   run every experiment (fanning the registry
-                               across N domains; results are identical)
-     demo <goal> [options]     run one goal with a chosen user and report
-                               ([--trace] streams events and metrics)
-     check <goal>              validate sensing safety/viability and
-                               helpfulness for a goal's server class
-     serve [options]           multiplex a session population through the
-                               supervised engine (admission, restarts,
-                               breakers) with no chaos
-     chaos run|matrix          deterministic chaos harness: fault/kill
-                               schedules over the engine, determinism
-                               checks, the E18 matrix
-     warm record|show          warm-start stores: record winning
-                               candidate indices from a cold run;
-                               serve/chaos --warm probes them first
-     top                       live fleet stats: in-place rollup table over
-                               a running serve (--stats FILE) or an
-                               internal population
-     trace-golden <dir>        regenerate the golden trace files
-     trace stats|attribution|sessions|diff|export
-                               analytics over recorded JSONL traces *)
+(* goalcom — CLI for the goal-oriented-communication library.  Each
+   subcommand documents itself: `goalcom --help`, `goalcom CMD --help`. *)
 
 open Cmdliner
 open Goalcom
@@ -34,11 +8,33 @@ open Goalcom_automata
 open Goalcom_goals
 open Goalcom_harness
 
+(* --- shared flag vocabulary --- *)
+
+(* Integer flags with a range: an out-of-range value is a usage error
+   naming the option (exit 124), never an exception from deep inside a
+   run. *)
+let int_at_least lo kind =
+  let parse =
+    Arg.parser_of_kind_of_string ~kind (fun s ->
+        Option.bind (int_of_string_opt s) (fun n ->
+            if n >= lo then Some n else None))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_at_least 1 "a positive integer"
+let non_negative = int_at_least 0 "a non-negative integer"
+
+(* A failed run prints its message and exits 1; so does a parse that
+   fails on input the flag's type cannot rule out (a spec string, a
+   file's contents). *)
+let die fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+let or_exit = function Ok v -> v | Error e -> die "%s" e
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let jobs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some positive) None
        & info [ "jobs" ] ~docv:"N"
            ~doc:"Domain count for the parallel entry points (overrides \
                  $(b,GOALCOM_JOBS); the default is 1, fully sequential).  \
@@ -46,6 +42,11 @@ let jobs_arg =
                  the wall-clock changes.")
 
 let apply_jobs jobs = Option.iter Goalcom_par.Pool.set_default_jobs jobs
+
+let file_arg ?(at = 0) ?(docv = "FILE") doc =
+  Arg.(required & pos at (some non_dir_file) None & info [] ~docv ~doc)
+
+let csv_arg doc = Arg.(value & flag & info [ "csv" ] ~doc)
 
 (* list *)
 
@@ -77,9 +78,6 @@ let run_cmd =
     in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:ids_doc)
   in
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of a table.")
-  in
   let trace_arg =
     Arg.(value & opt (some string) None
          & info [ "trace" ] ~docv:"FILE"
@@ -89,9 +87,7 @@ let run_cmd =
   let run id seed csv trace jobs =
     apply_jobs jobs;
     match Experiment.find id with
-    | None ->
-        Printf.eprintf "unknown experiment %S; try `goalcom list`\n" id;
-        exit 1
+    | None -> die "unknown experiment %S; try `goalcom list`" id
     | Some e ->
         Printf.printf "# %s — %s\n# claim: %s\n%!" e.Experiment.id
           e.Experiment.title e.Experiment.claim;
@@ -106,7 +102,8 @@ let run_cmd =
                 Trace.with_sink sink render))
   in
   Cmd.v (Cmd.info "run" ~doc:"Run one experiment.")
-    Term.(const run $ id_arg $ seed_arg $ csv_arg $ trace_arg $ jobs_arg)
+    Term.(const run $ id_arg $ seed_arg
+          $ csv_arg "Emit CSV instead of a table." $ trace_arg $ jobs_arg)
 
 (* all *)
 
@@ -126,15 +123,144 @@ let all_cmd =
     (Cmd.info "all" ~doc:"Run every experiment.")
     Term.(const run $ seed_arg $ jobs_arg)
 
-(* demo *)
+(* --- the goal families: demo, check, transcript --- *)
 
-let goal_conv =
-  Arg.enum
-    [
-      ("printing", `Printing); ("maze", `Maze); ("control", `Control);
-      ("password", `Password); ("delegation", `Delegation); ("transfer", `Transfer);
-      ("prediction", `Prediction); ("counting", `Counting);
-    ]
+(* What a family is built at.  demo and transcript run one pairing at
+   alphabet 6 on an 8x8 maze with 16 passwords; check enumerates whole
+   user and server classes, so it uses alphabet 4, a 6x6 maze and 8
+   passwords. *)
+type setting = {
+  alphabet : int;
+  dialects : Dialect.t Enum.t;
+  scenario : Maze.scenario;
+  space : int;  (** password space *)
+}
+
+let setting ~alphabet ~maze:(side, target) ~space =
+  {
+    alphabet;
+    dialects = Dialect.enumerate_rotations ~size:alphabet;
+    scenario = Maze.scenario ~width:side ~height:side ~start:(0, 0) ~target ();
+    space;
+  }
+
+let run_setting () = setting ~alphabet:6 ~maze:(8, (5, 4)) ~space:16
+let check_setting () = setting ~alphabet:4 ~maze:(6, (4, 3)) ~space:8
+
+(* Server [k] speaks dialect [k mod alphabet]. *)
+let dialect s k = Enum.get_exn s.dialects (k mod s.alphabet)
+
+(* One of the paper's motivating goals.  [server s k] and [informed s
+   k] are the pairing at dialect (or password) index [k]; [safety] is
+   the validator `check` runs on [sensing] over the user and server
+   classes, with its round horizon (default config when [None]). *)
+type family = {
+  name : string;
+  goal : setting -> Goal.t;
+  server : setting -> int -> Strategy.server;
+  informed : setting -> int -> Strategy.user;
+  universal : setting -> Strategy.user;
+  users : setting -> Strategy.user Enum.t;
+  servers : setting -> Strategy.server Enum.t;
+  sensing : unit -> Sensing.t;
+  safety : [ `Finite | `Compact ] * int option;
+}
+
+(* A family whose servers are the dialect rotations of one server. *)
+let dialect_family name ~goal ~server ~informed ~universal ~users ~servers
+    ~sensing ~safety =
+  {
+    name;
+    goal = (fun s -> goal ~alphabet:s.alphabet ());
+    server = (fun s k -> server ~alphabet:s.alphabet (dialect s k));
+    informed = (fun s k -> informed ~alphabet:s.alphabet (dialect s k));
+    universal = (fun s -> universal ~alphabet:s.alphabet s.dialects);
+    users = (fun s -> users ~alphabet:s.alphabet s.dialects);
+    servers = (fun s -> servers ~alphabet:s.alphabet s.dialects);
+    sensing;
+    safety;
+  }
+
+let families =
+  [
+    dialect_family "printing"
+      ~goal:(fun ~alphabet () -> Printing.goal ~alphabet ())
+      ~server:Printing.server ~informed:Printing.informed_user
+      ~universal:(fun ~alphabet ds -> Printing.universal_user ~alphabet ds)
+      ~users:Printing.user_class ~servers:Printing.server_class
+      ~sensing:(fun () -> Printing.sensing) ~safety:(`Finite, None);
+    {
+      name = "maze";
+      goal =
+        (fun s -> Maze.goal ~scenarios:[ s.scenario ] ~alphabet:s.alphabet ());
+      server = (fun s k -> Maze.server ~alphabet:s.alphabet (dialect s k));
+      informed =
+        (fun s k ->
+          Maze.informed_user ~alphabet:s.alphabet ~scenario:s.scenario
+            (dialect s k));
+      universal =
+        (fun s ->
+          Maze.universal_user ~alphabet:s.alphabet ~scenario:s.scenario
+            s.dialects);
+      users =
+        (fun s ->
+          Maze.user_class ~alphabet:s.alphabet ~scenario:s.scenario s.dialects);
+      servers = (fun s -> Maze.server_class ~alphabet:s.alphabet s.dialects);
+      sensing = (fun () -> Maze.sensing);
+      safety = (`Finite, None);
+    };
+    dialect_family "control"
+      ~goal:(fun ~alphabet () -> Control.goal ~alphabet ())
+      ~server:Control.server ~informed:Control.informed_user
+      ~universal:(fun ~alphabet ds -> Control.universal_user ~alphabet ds)
+      ~users:Control.user_class ~servers:Control.server_class
+      ~sensing:(fun () -> Control.sensing ()) ~safety:(`Compact, Some 1500);
+    {
+      name = "password";
+      goal = (fun _ -> Password.goal ());
+      server = (fun s k -> Password.server_with_password (k mod s.space));
+      informed = (fun s k -> Password.informed_user (k mod s.space));
+      universal = (fun s -> Password.universal_user ~space:s.space ());
+      users = (fun s -> Password.user_class ~space:s.space);
+      servers = (fun s -> Password.server_class ~space:s.space);
+      sensing = (fun () -> Password.sensing);
+      safety = (`Finite, Some 200);
+    };
+    dialect_family "delegation"
+      ~goal:(fun ~alphabet () -> Delegation.goal ~alphabet ())
+      ~server:Delegation.server ~informed:Delegation.informed_user
+      ~universal:(fun ~alphabet ds -> Delegation.universal_user ~alphabet ds)
+      ~users:Delegation.user_class ~servers:Delegation.server_class
+      ~sensing:(fun () -> Delegation.sensing) ~safety:(`Finite, Some 500);
+    dialect_family "transfer"
+      ~goal:(fun ~alphabet () -> Transfer.goal ~alphabet ())
+      ~server:Transfer.server ~informed:Transfer.informed_user
+      ~universal:(fun ~alphabet ds ->
+        Transfer.universal_user_fast ~alphabet ds)
+      ~users:Transfer.user_class ~servers:Transfer.server_class
+      ~sensing:(fun () -> Transfer.goal_sensing) ~safety:(`Finite, Some 500);
+    dialect_family "prediction"
+      ~goal:(fun ~alphabet () -> Prediction.goal ~alphabet ())
+      ~server:Prediction.server
+      ~informed:(fun ~alphabet d -> Prediction.teacher_user ~alphabet d)
+      ~universal:(fun ~alphabet ds -> Prediction.universal_user ~alphabet ds)
+      ~users:(fun ~alphabet ds -> Prediction.user_class ~alphabet ds)
+      ~servers:Prediction.server_class
+      ~sensing:(fun () -> Prediction.sensing) ~safety:(`Compact, Some 800);
+    dialect_family "counting"
+      ~goal:(fun ~alphabet () -> Counting.goal ~alphabet ())
+      ~server:Counting.server
+      ~informed:(fun ~alphabet d -> Counting.verifier_user ~alphabet d)
+      ~universal:(fun ~alphabet ds -> Counting.universal_user ~alphabet ds)
+      ~users:(fun ~alphabet ds -> Counting.user_class ~alphabet ds)
+      ~servers:Counting.server_class
+      ~sensing:(fun () -> Counting.sensing) ~safety:(`Finite, Some 300);
+  ]
+
+let goal_arg ~doc =
+  Arg.(required
+       & pos 0 (some (enum (List.map (fun f -> (f.name, f)) families))) None
+       & info [] ~docv:"GOAL" ~doc)
 
 let user_conv =
   Arg.enum
@@ -143,23 +269,25 @@ let user_conv =
       ("random", `Random);
     ]
 
+(* demo *)
+
 let demo_cmd =
   let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL"
-             ~doc:"One of printing, maze, control, password, delegation, transfer.")
+    let names = String.concat ", " (List.map (fun f -> f.name) families) in
+    goal_arg ~doc:(Printf.sprintf "One of %s." names)
   in
   let user_arg =
     Arg.(value & opt user_conv `Universal
          & info [ "user" ] ~docv:"USER" ~doc:"universal | oracle | fixed | random.")
   in
   let dialect_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt non_negative 1
          & info [ "dialect" ] ~docv:"K"
              ~doc:"Index of the server's dialect (or the password).")
   in
   let horizon_arg =
-    Arg.(value & opt int 8000 & info [ "horizon" ] ~docv:"N" ~doc:"Round budget.")
+    Arg.(value & opt positive 8000
+         & info [ "horizon" ] ~docv:"N" ~doc:"Round budget.")
   in
   let fault_arg =
     Arg.(value & opt_all string []
@@ -176,93 +304,35 @@ let demo_cmd =
              ~doc:"Stream the execution trace to stdout (compact form) and \
                    print a metrics summary after the run.")
   in
-  let run goal_kind user_kind dialect_idx horizon fault_specs trace seed =
-    let alphabet = 6 in
-    let dialects = Dialect.enumerate_rotations ~size:alphabet in
-    let dialect i = Enum.get_exn dialects (i mod alphabet) in
-    let scenario = Maze.scenario ~width:8 ~height:8 ~start:(0, 0) ~target:(5, 4) () in
-    let space = 16 in
-    let goal, server, user_class, universal, oracle =
-      match goal_kind with
-      | `Printing ->
-          ( Printing.goal ~alphabet (),
-            Printing.server ~alphabet (dialect dialect_idx),
-            Printing.user_class ~alphabet dialects,
-            (fun () -> Printing.universal_user ~alphabet dialects),
-            fun () -> Printing.informed_user ~alphabet (dialect dialect_idx) )
-      | `Maze ->
-          ( Maze.goal ~scenarios:[ scenario ] ~alphabet (),
-            Maze.server ~alphabet (dialect dialect_idx),
-            Maze.user_class ~alphabet ~scenario dialects,
-            (fun () -> Maze.universal_user ~alphabet ~scenario dialects),
-            fun () -> Maze.informed_user ~alphabet ~scenario (dialect dialect_idx) )
-      | `Control ->
-          ( Control.goal ~alphabet (),
-            Control.server ~alphabet (dialect dialect_idx),
-            Control.user_class ~alphabet dialects,
-            (fun () -> Control.universal_user ~alphabet dialects),
-            fun () -> Control.informed_user ~alphabet (dialect dialect_idx) )
-      | `Password ->
-          ( Password.goal (),
-            Password.server_with_password (dialect_idx mod space),
-            Password.user_class ~space,
-            (fun () -> Password.universal_user ~space ()),
-            fun () -> Password.informed_user (dialect_idx mod space) )
-      | `Delegation ->
-          ( Delegation.goal ~alphabet (),
-            Delegation.server ~alphabet (dialect dialect_idx),
-            Delegation.user_class ~alphabet dialects,
-            (fun () -> Delegation.universal_user ~alphabet dialects),
-            fun () -> Delegation.informed_user ~alphabet (dialect dialect_idx) )
-      | `Transfer ->
-          ( Transfer.goal ~alphabet (),
-            Transfer.server ~alphabet (dialect dialect_idx),
-            Transfer.user_class ~alphabet dialects,
-            (fun () -> Transfer.universal_user_fast ~alphabet dialects),
-            fun () -> Transfer.informed_user ~alphabet (dialect dialect_idx) )
-      | `Prediction ->
-          ( Prediction.goal ~alphabet (),
-            Prediction.server ~alphabet (dialect dialect_idx),
-            Prediction.user_class ~alphabet dialects,
-            (fun () -> Prediction.universal_user ~alphabet dialects),
-            fun () -> Prediction.teacher_user ~alphabet (dialect dialect_idx) )
-      | `Counting ->
-          ( Counting.goal ~alphabet (),
-            Counting.server ~alphabet (dialect dialect_idx),
-            Counting.user_class ~alphabet dialects,
-            (fun () -> Counting.universal_user ~alphabet dialects),
-            fun () -> Counting.verifier_user ~alphabet (dialect dialect_idx) )
-    in
+  let run family user_kind k horizon fault_specs trace seed =
+    let s = run_setting () in
+    let goal = family.goal s in
     let user =
       match user_kind with
-      | `Universal -> universal ()
-      | `Oracle -> oracle ()
-      | `Fixed -> Goalcom_baselines.Baselines.fixed user_class
-      | `Random -> Goalcom_baselines.Baselines.random_actions ~alphabet ()
+      | `Universal -> family.universal s
+      | `Oracle -> family.informed s k
+      | `Fixed -> Goalcom_baselines.Baselines.fixed (family.users s)
+      | `Random ->
+          Goalcom_baselines.Baselines.random_actions ~alphabet:s.alphabet ()
     in
     let fault =
       let module Fault = Goalcom_faults.Fault in
       List.fold_left
         (fun acc spec ->
-          match Fault.stack_of_string ~alphabet spec with
-          | Ok f -> Fault.compose acc f
-          | Error e ->
-              Printf.eprintf "%s\n" e;
-              exit 1)
+          Fault.compose acc
+            (or_exit (Fault.stack_of_string ~alphabet:s.alphabet spec)))
         Fault.nop fault_specs
     in
-    let server = Goalcom_faults.Fault.apply fault server in
+    let server = Goalcom_faults.Fault.apply fault (family.server s k) in
+    let module Metrics = Goalcom_obs.Metrics in
     let meter =
-      if trace then
-        Some (Goalcom_obs.Metrics.create ~clock:Unix.gettimeofday ())
-      else None
+      if trace then Some (Metrics.create ~clock:Unix.gettimeofday ()) else None
     in
     let sink =
       Option.map
         (fun m ->
-          Trace.tee
-            (Goalcom_obs.Pretty.sink Format.std_formatter)
-            (Goalcom_obs.Metrics.sink m))
+          Trace.tee (Goalcom_obs.Pretty.sink Format.std_formatter)
+            (Metrics.sink m))
         meter
     in
     let outcome, history =
@@ -276,9 +346,7 @@ let demo_cmd =
     Format.printf "outcome : %a@." Outcome.pp outcome;
     Format.printf "rounds  : %d@." (History.length history);
     Option.iter
-      (fun m ->
-        Format.printf "metrics :@.%a@." Goalcom_obs.Metrics.pp
-          (Goalcom_obs.Metrics.summary m))
+      (fun m -> Format.printf "metrics :@.%a@." Metrics.pp (Metrics.summary m))
       meter
   in
   Cmd.v
@@ -289,155 +357,245 @@ let demo_cmd =
 (* check *)
 
 let check_cmd =
-  let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL" ~doc:"Goal whose sensing/helpfulness to validate.")
-  in
-  let run goal_kind seed =
-    let alphabet = 4 in
-    let dialects = Dialect.enumerate_rotations ~size:alphabet in
-    let report r = Format.printf "%a@." Sensing.pp_report r in
-    let rng = Rng.make seed in
-    (match goal_kind with
-    | `Printing ->
-        let goal = Printing.goal ~alphabet () in
-        let users = Enum.to_list (Printing.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Printing.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_finite ~goal ~users ~servers Printing.sensing rng)
-    | `Maze ->
-        let scenario = Maze.scenario ~width:6 ~height:6 ~start:(0, 0) ~target:(4, 3) () in
-        let goal = Maze.goal ~scenarios:[ scenario ] ~alphabet () in
-        let users = Enum.to_list (Maze.user_class ~alphabet ~scenario dialects) in
-        let servers = Enum.to_list (Maze.server_class ~alphabet dialects) in
-        report (Sensing.check_safety_finite ~goal ~users ~servers Maze.sensing rng)
-    | `Control ->
-        let goal = Control.goal ~alphabet () in
-        let users = Enum.to_list (Control.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Control.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_compact
-             ~config:(Exec.config ~horizon:1500 ())
-             ~goal ~users ~servers (Control.sensing ()) rng)
-    | `Password ->
-        let goal = Password.goal () in
-        let users = Enum.to_list (Password.user_class ~space:8) in
-        let servers = Enum.to_list (Password.server_class ~space:8) in
-        report
-          (Sensing.check_safety_finite
-             ~config:(Exec.config ~horizon:200 ())
-             ~goal ~users ~servers Password.sensing rng)
-    | `Delegation ->
-        let goal = Delegation.goal ~alphabet () in
-        let users = Enum.to_list (Delegation.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Delegation.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_finite
-             ~config:(Exec.config ~horizon:500 ())
-             ~goal ~users ~servers Delegation.sensing rng)
-    | `Transfer ->
-        let goal = Transfer.goal ~alphabet () in
-        let users = Enum.to_list (Transfer.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Transfer.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_finite
-             ~config:(Exec.config ~horizon:500 ())
-             ~goal ~users ~servers Transfer.goal_sensing rng)
-    | `Prediction ->
-        let goal = Prediction.goal ~alphabet () in
-        let users = Enum.to_list (Prediction.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Prediction.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_compact
-             ~config:(Exec.config ~horizon:800 ())
-             ~goal ~users ~servers Prediction.sensing rng)
-    | `Counting ->
-        let goal = Counting.goal ~alphabet () in
-        let users = Enum.to_list (Counting.user_class ~alphabet dialects) in
-        let servers = Enum.to_list (Counting.server_class ~alphabet dialects) in
-        report
-          (Sensing.check_safety_finite
-             ~config:(Exec.config ~horizon:300 ())
-             ~goal ~users ~servers Counting.sensing rng));
-    ()
+  let run family seed =
+    let s = check_setting () in
+    let goal = family.goal s in
+    let users = Enum.to_list (family.users s) in
+    let servers = Enum.to_list (family.servers s) in
+    let sensing = family.sensing () and rng = Rng.make seed in
+    let kind, horizon = family.safety in
+    let config = Option.map (fun horizon -> Exec.config ~horizon ()) horizon in
+    Format.printf "%a@." Sensing.pp_report
+      (match kind with
+      | `Finite ->
+          Sensing.check_safety_finite ?config ~goal ~users ~servers sensing rng
+      | `Compact ->
+          Sensing.check_safety_compact ?config ~goal ~users ~servers sensing
+            rng)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Validate sensing properties for a goal.")
-    Term.(const run $ goal_arg $ seed_arg)
+    Term.(const run
+          $ goal_arg ~doc:"Goal whose sensing/helpfulness to validate."
+          $ seed_arg)
 
 (* transcript *)
 
 let transcript_cmd =
-  let goal_arg =
-    Arg.(required & pos 0 (some goal_conv) None
-         & info [] ~docv:"GOAL" ~doc:"Goal to run and dump.")
-  in
   let dialect_arg =
-    Arg.(value & opt int 1 & info [ "dialect" ] ~docv:"K" ~doc:"Server dialect index.")
+    Arg.(value & opt non_negative 1
+         & info [ "dialect" ] ~docv:"K" ~doc:"Server dialect index.")
   in
   let rounds_arg =
-    Arg.(value & opt int 25 & info [ "rounds" ] ~docv:"N" ~doc:"Rounds to print.")
+    Arg.(value & opt non_negative 25
+         & info [ "rounds" ] ~docv:"N" ~doc:"Rounds to print.")
   in
-  let run goal_kind dialect_idx rounds seed =
-    let alphabet = 6 in
-    let dialects = Dialect.enumerate_rotations ~size:alphabet in
-    let dialect i = Enum.get_exn dialects (i mod alphabet) in
-    let goal, user, server =
-      match goal_kind with
-      | `Printing ->
-          ( Printing.goal ~alphabet (),
-            Printing.informed_user ~alphabet (dialect dialect_idx),
-            Printing.server ~alphabet (dialect dialect_idx) )
-      | `Maze ->
-          let scenario =
-            Maze.scenario ~width:8 ~height:8 ~start:(0, 0) ~target:(5, 4) ()
-          in
-          ( Maze.goal ~scenarios:[ scenario ] ~alphabet (),
-            Maze.informed_user ~alphabet ~scenario (dialect dialect_idx),
-            Maze.server ~alphabet (dialect dialect_idx) )
-      | `Control ->
-          ( Control.goal ~alphabet (),
-            Control.informed_user ~alphabet (dialect dialect_idx),
-            Control.server ~alphabet (dialect dialect_idx) )
-      | `Password ->
-          ( Password.goal (),
-            Password.informed_user (dialect_idx mod 16),
-            Password.server_with_password (dialect_idx mod 16) )
-      | `Delegation ->
-          ( Delegation.goal ~alphabet (),
-            Delegation.informed_user ~alphabet (dialect dialect_idx),
-            Delegation.server ~alphabet (dialect dialect_idx) )
-      | `Transfer ->
-          ( Transfer.goal ~alphabet (),
-            Transfer.informed_user ~alphabet (dialect dialect_idx),
-            Transfer.server ~alphabet (dialect dialect_idx) )
-      | `Prediction ->
-          ( Prediction.goal ~alphabet (),
-            Prediction.teacher_user ~alphabet (dialect dialect_idx),
-            Prediction.server ~alphabet (dialect dialect_idx) )
-      | `Counting ->
-          ( Counting.goal ~alphabet (),
-            Counting.verifier_user ~alphabet (dialect dialect_idx),
-            Counting.server ~alphabet (dialect dialect_idx) )
-    in
+  let run family k rounds seed =
+    let s = run_setting () in
     let history =
       Exec.run
         ~config:(Exec.config ~horizon:(max rounds 1) ())
-        ~goal ~user ~server (Rng.make seed)
+        ~goal:(family.goal s) ~user:(family.informed s k)
+        ~server:(family.server s k) (Rng.make seed)
     in
     Format.printf "%a@." History.pp (History.prefix rounds history)
   in
   Cmd.v
     (Cmd.info "transcript"
        ~doc:"Run an informed user on a goal and print the round-by-round history.")
-    Term.(const run $ goal_arg $ dialect_arg $ rounds_arg $ seed_arg)
+    Term.(const run $ goal_arg ~doc:"Goal to run and dump." $ dialect_arg
+          $ rounds_arg $ seed_arg)
 
-(* serve / chaos — the supervised concurrent session engine *)
+(* --- serve / chaos: the supervised concurrent session engine --- *)
 
 module Session = Goalcom_session
+module Rollup = Goalcom_obs.Rollup
 
-let print_report (r : Session.Engine.report) =
-  let open Session.Engine in
+let sessions_arg ~default =
+  Arg.(value & opt non_negative default
+       & info [ "sessions" ] ~docv:"N"
+           ~doc:"Number of sessions in the population (the standard E18 \
+                 mix: printing / corridor-maze / open-maze universal \
+                 users, round-robin).")
+
+(* Everything `serve` and `chaos run` share: the population, admission
+   and the engine's limits, warm start, live stats and the seed (the
+   term applies --jobs as it builds the record).  The spec strings stay
+   raw here; [engine_config] parses them, exiting 1 on a bad one. *)
+type serving = {
+  sessions : int;
+  mix : [ `E18 | `Net ];
+  max_live : int;
+  queue : int;
+  arrivals : string;
+  class_weights : string;
+  round_budget : int;
+  warm : string option;
+  stats : string option;
+  stats_every : int;
+  seed : int;
+}
+
+let serving_term ~sessions =
+  let mix =
+    Arg.(value & opt (enum [ ("e18", `E18); ("net", `Net) ]) `E18
+         & info [ "mix" ] ~docv:"MIX"
+             ~doc:"Session population: $(b,e18) (the standard printing/maze \
+                   mix) or $(b,net) (lib/net: shared-medium multiple-access \
+                   groups of four — stepped through the engine's group \
+                   arbiter, one slot per tick — plus topology-routing and \
+                   ARQ-forwarding universal sessions).  The net mix pins \
+                   quantum to 1 so a scheduler tick is one medium slot.")
+  in
+  let max_live =
+    Arg.(value & opt positive 256
+         & info [ "max-live" ] ~docv:"N"
+             ~doc:"Concurrently running sessions (admission slots).")
+  in
+  let queue =
+    Arg.(value & opt non_negative 1_000_000
+         & info [ "queue" ] ~docv:"N"
+             ~doc:"Admission queue capacity; arrivals beyond slots + queue \
+                   are shed.")
+  in
+  let arrivals =
+    Arg.(value & opt string "bang"
+         & info [ "arrivals" ] ~docv:"SPEC"
+             ~doc:"Arrival process: bang (the whole population arrives at \
+                   tick 1), a bare integer N (N sessions per tick), \
+                   poisson:R (open-loop Poisson arrivals at mean rate R \
+                   per tick) or mmpp:R1,R2,..[:P] (Markov-modulated \
+                   Poisson cycling through the rates with per-tick hop \
+                   probability P, default 0.1).  Rates are capped at 1e6 \
+                   per tick; a larger one is rejected.  Sampling is seeded \
+                   and deterministic.")
+  in
+  let class_weights =
+    Arg.(value & opt string ""
+         & info [ "class-weights" ] ~docv:"SPEC"
+             ~doc:"Fair-share admission classes as \
+                   CLASS=WEIGHT[,CLASS=WEIGHT..] over server classes \
+                   (e.g. printing=3,maze-corridor=1).  Queued sessions \
+                   are served by weighted deficit round-robin, so an \
+                   open breaker blocks only its own class; unlisted \
+                   classes share a default queue of weight 1.  Empty: \
+                   one FIFO queue.")
+  in
+  let round_budget =
+    Arg.(value & opt non_negative 0
+         & info [ "round-budget" ] ~docv:"R"
+             ~doc:"Rounds per incarnation before the supervisor wedge-kills \
+                   it (0 disables).")
+  in
+  let warm =
+    Arg.(value & opt (some string) None
+         & info [ "warm" ] ~docv:"FILE"
+             ~doc:"Warm-start store (JSONL).  Known winning candidate \
+                   indices for each session class are probed first — one \
+                   prepended Levin slot per class — and after the run the \
+                   store is rewritten with the winners this run proved.  \
+                   A missing file is an empty store; a corrupt one falls \
+                   back to a cold start.")
+  in
+  let stats =
+    Arg.(value & opt (some string) None
+         & info [ "stats" ] ~docv:"FILE"
+             ~doc:"Aggregate live per-class session rollups (admitted / \
+                   shed / restarts / trips / done, rounds and latency \
+                   p50/p99/p999, sessions/sec).  $(docv) '-' prints a \
+                   Prometheus text exposition to stdout after the run; a \
+                   .prom path writes the same to the file; any other path \
+                   gets a JSON snapshot rewritten every $(b,--stats-every) \
+                   ticks, which a concurrent `goalcom top --stats` \
+                   renders live.")
+  in
+  let stats_every =
+    Arg.(value & opt non_negative 50
+         & info [ "stats-every" ] ~docv:"T"
+             ~doc:"Ticks between snapshot rewrites for a JSON --stats file.")
+  in
+  let make sessions mix max_live queue arrivals class_weights round_budget
+      warm stats stats_every seed jobs =
+    apply_jobs jobs;
+    {
+      sessions; mix; max_live; queue; arrivals; class_weights; round_budget;
+      warm; stats; stats_every; seed;
+    }
+  in
+  Term.(const make $ sessions_arg ~default:sessions $ mix $ max_live $ queue
+        $ arrivals $ class_weights $ round_budget $ warm $ stats $ stats_every
+        $ seed_arg $ jobs_arg)
+
+let engine_config ?quantum ?deadline sv =
+  let arrivals = or_exit (Session.Arrival.of_string sv.arrivals) in
+  let classes = or_exit (Session.Admission.classes_of_string sv.class_weights) in
+  Session.Engine.config ?quantum ~max_live:sv.max_live
+    ~queue_capacity:sv.queue ~arrivals ~classes ~round_budget:sv.round_budget
+    ?deadline ()
+
+(* Warm-start stores: known winning candidate indices per session
+   class, persisted as JSONL (Goalcom_harness.Warm).  Loading a missing
+   file is an empty store; a corrupt file degrades to a cold start
+   (Warm.hints rejects it with a Trace.Warm event). *)
+let warm_store sv =
+  Option.map
+    (fun path -> if Sys.file_exists path then Warm.load path else Ok [])
+    sv.warm
+
+(* The net mix attaches shared-medium groups and needs quantum 1 (one
+   tick = one arbitration slot); warm stores record E18 classes only. *)
+let population ?warm sv =
+  match sv.mix with
+  | `E18 -> (E18_chaos_matrix.specs ?warm ~sessions:sv.sessions (), [])
+  | `Net -> E19_net_matrix.population ~sessions:sv.sessions ()
+
+let write_file path content =
+  Out_channel.with_open_text path (fun oc -> output_string oc content)
+
+let write_atomic path content =
+  write_file (path ^ ".tmp") content;
+  Sys.rename (path ^ ".tmp") path
+
+(* A rollup of a population's supervision decisions, with the engine
+   hook that feeds it. *)
+let live_rollup specs =
+  let class_of id = specs.(id).Session.Engine.server_class in
+  let rollup = Rollup.create ~clock:Unix.gettimeofday ~class_of () in
+  (rollup, Rollup.supervise rollup)
+
+(* --stats: a live Rollup fed from the engine's supervision hook —
+   fleet-level counters, histograms and sessions/sec with no trace
+   retained.  "-" prints Prometheus text exposition to stdout at the
+   end; a .prom path writes the same to a file; any other path gets a
+   JSON snapshot rewritten atomically every --stats-every ticks (and at
+   the end) for `goalcom top` to watch.  Returns the engine hooks and
+   the end-of-run report. *)
+let live_stats sv specs =
+  match sv.stats with
+  | None -> (None, None, ignore)
+  | Some path ->
+      let rollup, on_supervise = live_rollup specs in
+      let prom = Filename.check_suffix path ".prom" in
+      let on_tick ~tick =
+        if path <> "-" && (not prom) && sv.stats_every > 0
+           && tick mod sv.stats_every = 0
+        then write_atomic path (Rollup.to_json (Rollup.snapshot rollup))
+      in
+      let finish () =
+        let snap = Rollup.snapshot rollup in
+        if path = "-" then print_string (Rollup.to_prometheus snap)
+        else begin
+          write_atomic path
+            (if prom then Rollup.to_prometheus snap else Rollup.to_json snap);
+          Table.print (Rollup.table snap);
+          Printf.printf "stats          -> %s\n" path
+        end
+      in
+      (Some on_supervise, Some on_tick, finish)
+
+(* After a run: the report, the stats, and the warm store rewritten
+   with the winners this run proved. *)
+let finish sv ~warm ~stats_finish (r : Session.Engine.report) =
   let n = Array.length r.outcomes in
   let pct k = 100.0 *. float_of_int k /. float_of_int (max 1 n) in
   Printf.printf "sessions       %d\n" n;
@@ -453,231 +611,48 @@ let print_report (r : Session.Engine.report) =
   Printf.printf "p50 rounds     %.0f\n" r.p50_rounds;
   Printf.printf "p99 rounds     %.0f\n" r.p99_rounds;
   Printf.printf "p999 rounds    %.0f\n" r.p999_rounds;
-  Printf.printf "digest         %s\n" r.digest
-
-(* --stats: a live Rollup fed from the engine's supervision hook —
-   fleet-level counters, histograms and sessions/sec with no trace
-   retained.  "-" prints Prometheus text exposition to stdout at the
-   end; a .prom path writes the same to a file; any other path gets a
-   JSON snapshot rewritten atomically every --stats-every ticks (and at
-   the end) for `goalcom top` to watch. *)
-
-module Rollup = Goalcom_obs.Rollup
-
-let stats_arg =
-  Arg.(value & opt (some string) None
-       & info [ "stats" ] ~docv:"FILE"
-           ~doc:"Aggregate live per-class session rollups (admitted / \
-                 shed / restarts / trips / done, rounds and latency \
-                 p50/p99/p999, sessions/sec).  $(docv) '-' prints a \
-                 Prometheus text exposition to stdout after the run; a \
-                 .prom path writes the same to the file; any other path \
-                 gets a JSON snapshot rewritten every $(b,--stats-every) \
-                 ticks, which a concurrent `goalcom top --stats` \
-                 renders live.")
-
-let stats_every_arg =
-  Arg.(value & opt int 50
-       & info [ "stats-every" ] ~docv:"T"
-           ~doc:"Ticks between snapshot rewrites for a JSON --stats file.")
-
-let write_atomic path content =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
-
-type stats_live = {
-  st_rollup : Rollup.t;
-  st_supervise : tick:int -> session:int -> action:string -> detail:string -> unit;
-  st_tick : tick:int -> unit;
-  st_finish : unit -> unit;
-}
-
-let stats_live ~every ~specs path =
-  let class_of id = specs.(id).Session.Engine.server_class in
-  let st_rollup = Rollup.create ~clock:Unix.gettimeofday ~class_of () in
-  let st_supervise ~tick ~session ~action ~detail =
-    Rollup.supervise st_rollup ~tick ~session ~action ~detail
-  in
-  let st_tick ~tick =
-    if path <> "-" && (not (Filename.check_suffix path ".prom"))
-       && every > 0 && tick mod every = 0
-    then write_atomic path (Rollup.to_json (Rollup.snapshot st_rollup))
-  in
-  let st_finish () =
-    let snap = Rollup.snapshot st_rollup in
-    if path = "-" then print_string (Rollup.to_prometheus snap)
-    else begin
-      let content =
-        if Filename.check_suffix path ".prom" then Rollup.to_prometheus snap
-        else Rollup.to_json snap
-      in
-      write_atomic path content;
-      Table.print (Rollup.table snap);
-      Printf.printf "stats          -> %s\n" path
-    end
-  in
-  { st_rollup; st_supervise; st_tick; st_finish }
-
-(* Thread optional hooks into Engine.run without cluttering each
-   call site. *)
-let engine_hooks = function
-  | None -> (None, None)
-  | Some st -> (Some st.st_supervise, Some st.st_tick)
-
-let sessions_arg ~default =
-  Arg.(value & opt int default
-       & info [ "sessions" ] ~docv:"N"
-           ~doc:"Number of sessions in the population (the standard E18 \
-                 mix: printing / corridor-maze / open-maze universal \
-                 users, round-robin).")
-
-let mix_arg =
-  Arg.(value & opt (enum [ ("e18", `E18); ("net", `Net) ]) `E18
-       & info [ "mix" ] ~docv:"MIX"
-           ~doc:"Session population: $(b,e18) (the standard printing/maze \
-                 mix) or $(b,net) (lib/net: shared-medium multiple-access \
-                 groups of four — stepped through the engine's group \
-                 arbiter, one slot per tick — plus topology-routing and \
-                 ARQ-forwarding universal sessions).  The net mix pins \
-                 quantum to 1 so a scheduler tick is one medium slot.")
-
-(* The net mix attaches shared-medium groups and needs quantum 1 (one
-   tick = one arbitration slot); warm stores record E18 classes only. *)
-let population_of_mix ?warm ~sessions = function
-  | `E18 -> (E18_chaos_matrix.specs ?warm ~sessions (), [])
-  | `Net -> E19_net_matrix.population ~sessions ()
-
-(* Warm-start stores: known winning candidate indices per session
-   class, persisted as JSONL (Goalcom_harness.Warm).  Loading a missing
-   file is an empty store; a corrupt file degrades to a cold start
-   (Warm.hints rejects it with a Trace.Warm event). *)
-
-let warm_arg =
-  Arg.(value & opt (some string) None
-       & info [ "warm" ] ~docv:"FILE"
-           ~doc:"Warm-start store (JSONL).  Known winning candidate \
-                 indices for each session class are probed first — one \
-                 prepended Levin slot per class — and after the run the \
-                 store is rewritten with the winners this run proved.  \
-                 A missing file is an empty store; a corrupt one falls \
-                 back to a cold start.")
-
-let warm_load path = if Sys.file_exists path then Warm.load path else Ok []
-
-let warm_save path warm report =
-  let entries = E18_chaos_matrix.warm_entries ?warm report in
-  Warm.save path entries;
-  Printf.printf "warm store     %d entries -> %s\n" (List.length entries) path
-
-let max_live_arg =
-  Arg.(value & opt int 256
-       & info [ "max-live" ] ~docv:"N"
-           ~doc:"Concurrently running sessions (admission slots).")
-
-let queue_arg =
-  Arg.(value & opt int 1_000_000
-       & info [ "queue" ] ~docv:"N"
-           ~doc:"Admission queue capacity; arrivals beyond slots + queue \
-                 are shed.")
-
-let budget_arg =
-  Arg.(value & opt int 0
-       & info [ "round-budget" ] ~docv:"R"
-           ~doc:"Rounds per incarnation before the supervisor wedge-kills \
-                 it (0 disables).")
-
-let arrivals_arg =
-  Arg.(value & opt string "bang"
-       & info [ "arrivals" ] ~docv:"SPEC"
-           ~doc:"Arrival process: bang (the whole population arrives at \
-                 tick 1), a bare integer N (N sessions per tick), \
-                 poisson:R (open-loop Poisson arrivals at mean rate R \
-                 per tick) or mmpp:R1,R2,..[:P] (Markov-modulated \
-                 Poisson cycling through the rates with per-tick hop \
-                 probability P, default 0.1).  Rates are capped at 1e6 \
-                 per tick; a larger one is rejected.  Sampling is seeded \
-                 and deterministic.")
-
-let class_weights_arg =
-  Arg.(value & opt string ""
-       & info [ "class-weights" ] ~docv:"SPEC"
-           ~doc:"Fair-share admission classes as \
-                 CLASS=WEIGHT[,CLASS=WEIGHT..] over server classes \
-                 (e.g. printing=3,maze-corridor=1).  Queued sessions \
-                 are served by weighted deficit round-robin, so an \
-                 open breaker blocks only its own class; unlisted \
-                 classes share a default queue of weight 1.  Empty: \
-                 one FIFO queue.")
-
-let parse_arrivals s =
-  match Session.Arrival.of_string s with
-  | Ok a -> a
-  | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 1
-
-let parse_class_weights s =
-  match Session.Admission.classes_of_string s with
-  | Ok classes -> classes
-  | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 1
+  Printf.printf "digest         %s\n" r.digest;
+  stats_finish ();
+  match (sv.mix, sv.warm) with
+  | _, None -> ()
+  | `E18, Some path ->
+      let entries = E18_chaos_matrix.warm_entries ?warm r in
+      Warm.save path entries;
+      Printf.printf "warm store     %d entries -> %s\n" (List.length entries)
+        path
+  | `Net, Some _ ->
+      print_string "warm store     unchanged (the net mix records no classes)\n"
 
 let serve_cmd =
   let quantum_arg =
-    Arg.(value & opt int 32
+    Arg.(value & opt positive 32
          & info [ "quantum" ] ~docv:"R"
              ~doc:"Rounds each running session advances per scheduler tick.")
   in
   let deadline_arg =
-    Arg.(value & opt int 0
+    Arg.(value & opt non_negative 0
          & info [ "deadline" ] ~docv:"T"
              ~doc:"Ticks from arrival before an unfinished session is \
                    abandoned (0 disables).")
   in
-  let run sessions mix max_live queue quantum arrivals class_weights deadline
-      budget warm_path stats stats_every seed jobs =
-    apply_jobs jobs;
-    let quantum = match mix with `Net -> 1 | `E18 -> quantum in
-    let arrivals = parse_arrivals arrivals in
-    let classes = parse_class_weights class_weights in
-    let config =
-      Session.Engine.config ~quantum ~max_live ~queue_capacity:queue ~arrivals
-        ~classes ~round_budget:budget ~deadline ()
-    in
-    let warm = Option.map warm_load warm_path in
-    let specs, groups = population_of_mix ?warm ~sessions mix in
-    let stats =
-      Option.map (stats_live ~every:stats_every ~specs) stats
-    in
-    let on_supervise, on_tick = engine_hooks stats in
+  let run sv quantum deadline =
+    let quantum = match sv.mix with `Net -> 1 | `E18 -> quantum in
+    let config = engine_config ~quantum ~deadline sv in
+    let warm = warm_store sv in
+    let specs, groups = population ?warm sv in
+    let on_supervise, on_tick, stats_finish = live_stats sv specs in
     let report =
-      Session.Engine.run ~config ~groups ?on_supervise ?on_tick ~specs ~seed
-        ()
+      Session.Engine.run ~config ~groups ?on_supervise ?on_tick ~specs
+        ~seed:sv.seed ()
     in
-    print_report report;
-    Option.iter (fun st -> st.st_finish ()) stats;
-    match mix with
-    | `E18 -> Option.iter (fun path -> warm_save path warm report) warm_path
-    | `Net ->
-        Option.iter
-          (fun _ ->
-            Printf.printf
-              "warm store     unchanged (the net mix records no classes)\n")
-          warm_path
+    finish sv ~warm ~stats_finish report
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Serve a session population through the supervised concurrent \
              engine (no chaos): admission control, restart supervision, \
              per-class circuit breakers.")
-    Term.(const run $ sessions_arg ~default:256 $ mix_arg $ max_live_arg
-          $ queue_arg $ quantum_arg $ arrivals_arg $ class_weights_arg
-          $ deadline_arg $ budget_arg $ warm_arg $ stats_arg $ stats_every_arg
-          $ seed_arg $ jobs_arg)
+    Term.(const run $ serving_term ~sessions:256 $ quantum_arg $ deadline_arg)
 
 let chaos_run_cmd =
   let schedule_arg =
@@ -689,7 +664,7 @@ let chaos_run_cmd =
                    with id mod M = R).")
   in
   let repeat_arg =
-    Arg.(value & opt int 1
+    Arg.(value & opt non_negative 1
          & info [ "repeat" ] ~docv:"K"
              ~doc:"Run the schedule $(docv) times and assert digest \
                    determinism across repeats (exit 1 on divergence).")
@@ -708,7 +683,7 @@ let chaos_run_cmd =
                    session-id order) to $(docv).")
   in
   let ring_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "ring" ] ~docv:"N"
              ~doc:"Capture the merged trace through the binary ring-buffer \
                    sink retaining the last $(docv) events, instead of an \
@@ -717,105 +692,73 @@ let chaos_run_cmd =
                    invariant check of --check is skipped if the ring \
                    evicted events (a truncated prefix is not a run).")
   in
-  let run sessions mix schedule max_live queue arrivals class_weights budget
-      repeat check trace ring warm_path stats stats_every seed jobs =
-    apply_jobs jobs;
-    let chaos =
-      match Session.Chaos.of_string ~alphabet:6 schedule with
-      | Ok c -> c
-      | Error e -> Printf.eprintf "%s\n" e; exit 1
-    in
-    let arrivals = parse_arrivals arrivals in
-    let classes = parse_class_weights class_weights in
+  let run sv schedule repeat check trace ring =
+    let chaos = or_exit (Session.Chaos.of_string ~alphabet:6 schedule) in
     let config =
-      Session.Engine.config
-        ?quantum:(match mix with `Net -> Some 1 | `E18 -> None)
-        ~max_live ~queue_capacity:queue ~arrivals ~classes
-        ~round_budget:budget ()
+      engine_config
+        ?quantum:(match sv.mix with `Net -> Some 1 | `E18 -> None)
+        sv
     in
-    let warm = Option.map warm_load warm_path in
-    (* Rebuilt per run: net-mix groups close over mutable media whose
-       cumulative slot counters would otherwise leak from one repeat
-       into the next run's arbiter report details. *)
-    let fresh_population () = population_of_mix ?warm ~sessions mix in
-    let specs, _ = fresh_population () in
-    let stats = Option.map (stats_live ~every:stats_every ~specs) stats in
+    let warm = warm_store sv in
+    let specs, _ = population ?warm sv in
+    let on_supervise, on_tick, stats_finish = live_stats sv specs in
     let capture = check || trace <> None || ring <> None in
-    let evicted = ref 0 in
-    (* The rollup hooks feed only the first run: repeats exist to check
-       determinism of the engine, not to double-count sessions. *)
-    let once ~hooks () =
-      let specs, groups = fresh_population () in
-      let on_supervise, on_tick =
-        engine_hooks (if hooks then stats else None)
-      in
+    (* One run, with its merged trace when one is wanted and the number
+       of events the ring evicted from it. *)
+    let once ?on_supervise ?on_tick () =
+      (* Rebuilt per run: net-mix groups close over mutable media whose
+         cumulative slot counters would otherwise leak from one repeat
+         into the next run's arbiter report details. *)
+      let specs, groups = population ?warm sv in
       let go () =
         Session.Engine.run ~chaos ~config ~groups ?on_supervise ?on_tick
-          ~specs ~seed ()
+          ~specs ~seed:sv.seed ()
       in
-      if not capture then (go (), None)
-      else
-        match ring with
-        | Some capacity ->
-            let r = Goalcom_obs.Ring.create ~capacity in
-            (* The engine replays its merged stream from this domain, so
-               the shard-bound fast path applies. *)
-            let report = Trace.with_sink (Goalcom_obs.Ring.domain_sink r) go in
-            evicted := Goalcom_obs.Ring.evicted r;
-            (report, Some (Goalcom_obs.Ring.events r))
-        | None ->
-            let buf = ref [] in
-            let report = Trace.with_sink (fun ev -> buf := ev :: !buf) go in
-            (report, Some (List.rev !buf))
+      match ring with
+      | _ when not capture -> (go (), None, 0)
+      | Some capacity ->
+          let r = Goalcom_obs.Ring.create ~capacity in
+          (* The engine replays its merged stream from this domain, so
+             the shard-bound fast path applies. *)
+          let report = Trace.with_sink (Goalcom_obs.Ring.domain_sink r) go in
+          (report, Some (Goalcom_obs.Ring.events r), Goalcom_obs.Ring.evicted r)
+      | None ->
+          let report, events = Goalcom_obs.Recorder.record go in
+          (report, Some events, 0)
     in
-    let first, events = once ~hooks:true () in
-    print_report first;
-    Option.iter (fun st -> st.st_finish ()) stats;
-    (match mix with
-    | `E18 -> Option.iter (fun path -> warm_save path warm first) warm_path
-    | `Net ->
-        Option.iter
-          (fun _ ->
-            Printf.printf
-              "warm store     unchanged (the net mix records no classes)\n")
-          warm_path);
+    (* The rollup hooks feed only the first run: repeats exist to check
+       determinism of the engine, not to double-count sessions. *)
+    let first, events, evicted = once ?on_supervise ?on_tick () in
+    finish sv ~warm ~stats_finish first;
     (match events with
     | None -> ()
     | Some evs ->
         if ring <> None then
           Printf.printf "ring           %d events retained, %d evicted\n"
-            (List.length evs) !evicted;
-        (match trace with
-        | None -> ()
-        | Some path ->
-            Goalcom_obs.Jsonl.with_file path (fun sink ->
-                List.iter sink evs));
+            (List.length evs) evicted;
+        Option.iter
+          (fun path ->
+            Goalcom_obs.Jsonl.with_file path (fun sink -> List.iter sink evs))
+          trace;
         if check then
-          if !evicted > 0 then
+          if evicted > 0 then
             Printf.printf
               "trace          invariants skipped (ring evicted %d events)\n"
-              !evicted
+              evicted
           else begin
             match Trace.check Trace.standard evs with
             | Ok () ->
                 Printf.printf
                   "trace ok       %d events, standard invariants hold\n"
                   (List.length evs)
-            | Error msg ->
-                Printf.eprintf "trace invariant violated: %s\n" msg;
-                exit 1
+            | Error msg -> die "trace invariant violated: %s" msg
           end);
     for k = 2 to repeat do
-      let r, evs = once ~hooks:false () in
-      if r.Session.Engine.digest <> first.Session.Engine.digest then begin
-        Printf.eprintf "repeat %d: digest diverged (%s vs %s)\n" k
-          r.Session.Engine.digest first.Session.Engine.digest;
-        exit 1
-      end;
-      if check && evs <> events then begin
-        Printf.eprintf "repeat %d: merged trace diverged\n" k;
-        exit 1
-      end;
+      let r, evs, _ = once () in
+      if r.Session.Engine.digest <> first.Session.Engine.digest then
+        die "repeat %d: digest diverged (%s vs %s)" k r.Session.Engine.digest
+          first.Session.Engine.digest;
+      if check && evs <> events then die "repeat %d: merged trace diverged" k;
       Printf.printf "repeat %d       digest identical%s\n" k
         (if check then ", merged trace identical" else "")
     done
@@ -824,10 +767,8 @@ let chaos_run_cmd =
     (Cmd.info "run"
        ~doc:"Run the session population under a chaos schedule and report \
              completion, shedding, restarts and breaker activity.")
-    Term.(const run $ sessions_arg ~default:500 $ mix_arg $ schedule_arg
-          $ max_live_arg $ queue_arg $ arrivals_arg $ class_weights_arg
-          $ budget_arg $ repeat_arg $ check_arg $ trace_arg $ ring_arg
-          $ warm_arg $ stats_arg $ stats_every_arg $ seed_arg $ jobs_arg)
+    Term.(const run $ serving_term ~sessions:500 $ schedule_arg $ repeat_arg
+          $ check_arg $ trace_arg $ ring_arg)
 
 let chaos_matrix_cmd =
   let run sessions seed jobs =
@@ -838,7 +779,7 @@ let chaos_matrix_cmd =
     Table.print (E18_chaos_matrix.run ~seed)
   in
   let sessions_opt =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some positive) None
          & info [ "sessions" ] ~docv:"N"
              ~doc:"Sessions per condition (default 2000, i.e. a \
                    10k-session matrix; equivalent to setting \
@@ -886,28 +827,21 @@ let warm_record_cmd =
     Term.(const run $ sessions_arg ~default:18 $ out_arg $ seed_arg $ jobs_arg)
 
 let warm_show_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"Warm-start store to print.")
-  in
   let run path =
-    match Warm.load path with
-    | Error e -> Printf.eprintf "%s\n" e; exit 1
-    | Ok entries ->
-        Table.print
-          (Table.make ~title:path
-             ~columns:[ "class"; "enumeration"; "index"; "budget" ]
-             (List.map
-                (fun (e : Warm.entry) ->
-                  [
-                    e.Warm.server_class; e.Warm.enum;
-                    string_of_int e.Warm.index; string_of_int e.Warm.budget;
-                  ])
-                entries))
+    Table.print
+      (Table.make ~title:path
+         ~columns:[ "class"; "enumeration"; "index"; "budget" ]
+         (List.map
+            (fun (e : Warm.entry) ->
+              [
+                e.Warm.server_class; e.Warm.enum; string_of_int e.Warm.index;
+                string_of_int e.Warm.budget;
+              ])
+            (or_exit (Warm.load path))))
   in
   Cmd.v
     (Cmd.info "show" ~doc:"Print a warm-start store as a table.")
-    Term.(const run $ file_arg)
+    Term.(const run $ file_arg "Warm-start store to print.")
 
 let warm_cmd =
   Cmd.group
@@ -935,10 +869,7 @@ let trace_golden_cmd =
         Printf.printf "wrote %s (%d events)\n" path (List.length events))
       Trace_cases.all;
     let stats_path = Filename.concat dir "stats_e18_chaos.json" in
-    let oc = open_out stats_path in
-    output_string oc (Trace_cases.rollup_stats ());
-    output_char oc '\n';
-    close_out oc;
+    write_file stats_path (Trace_cases.rollup_stats () ^ "\n");
     Printf.printf "wrote %s\n" stats_path
   in
   Cmd.v
@@ -948,28 +879,18 @@ let trace_golden_cmd =
 
 (* trace — analytics over recorded JSONL trace files *)
 
-let load_trace path =
-  match Goalcom_obs.Jsonl.of_file path with
-  | Ok events -> events
-  | Error e ->
-      Printf.eprintf "%s\n" e;
-      exit 1
+let load_trace path = or_exit (Goalcom_obs.Jsonl.of_file path)
 
 module Span = Goalcom_obs.Span
 
 let trace_stats_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"JSONL trace file to summarize.")
-  in
   let run path =
     let events = load_trace path in
-    let module Obs = Goalcom_obs in
     let runs = Span.of_events events in
     let kinds = Hashtbl.create 16 in
     List.iter
       (fun ev ->
-        let k = Obs.Trace_diff.kind_name ev in
+        let k = Goalcom_obs.Trace_diff.kind_name ev in
         Hashtbl.replace kinds k (1 + Option.value ~default:0 (Hashtbl.find_opt kinds k)))
       events;
     Printf.printf "%s: %d events, %d runs\n" path (List.length events)
@@ -984,16 +905,9 @@ let trace_stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Event counts and per-run summary of a trace file.")
-    Term.(const run $ file_arg)
+    Term.(const run $ file_arg "JSONL trace file to summarize.")
 
 and trace_attribution_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"JSONL trace file to attribute.")
-  in
-  let csv_arg =
-    Arg.(value & flag & info [ "csv" ] ~doc:"Emit CSV instead of tables.")
-  in
   let run path csv =
     let events = load_trace path in
     let runs = Span.of_events events in
@@ -1007,17 +921,10 @@ and trace_attribution_cmd =
     (Cmd.info "attribution"
        ~doc:"Charge every round, message, sensing verdict and fault to the \
              enumerated candidate in charge; report the overhead ledger.")
-    Term.(const run $ file_arg $ csv_arg)
+    Term.(const run $ file_arg "JSONL trace file to attribute."
+          $ csv_arg "Emit CSV instead of tables.")
 
 and trace_diff_cmd =
-  let left_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"LEFT" ~doc:"First trace file.")
-  in
-  let right_arg =
-    Arg.(required & pos 1 (some file) None
-         & info [] ~docv:"RIGHT" ~doc:"Second trace file.")
-  in
   let run left right =
     let module Td = Goalcom_obs.Trace_diff in
     let llines = Goalcom_obs.Jsonl.read_lines left in
@@ -1035,13 +942,10 @@ and trace_diff_cmd =
     (Cmd.info "diff"
        ~doc:"First divergence between two trace files (exit 1 if they \
              differ, with an event-kind-aware explanation).")
-    Term.(const run $ left_arg $ right_arg)
+    Term.(const run $ file_arg ~docv:"LEFT" "First trace file."
+          $ file_arg ~at:1 ~docv:"RIGHT" "Second trace file.")
 
 and trace_export_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE" ~doc:"JSONL trace file to export.")
-  in
   let format_arg =
     Arg.(value
          & opt (enum [ ("chrome", `Chrome); ("csv", `Csv) ]) `Chrome
@@ -1064,24 +968,17 @@ and trace_export_cmd =
     match out with
     | None -> print_string rendered
     | Some out_path ->
-        let oc = open_out out_path in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () -> output_string oc rendered);
+        write_file out_path rendered;
         Printf.printf "wrote %s (%d bytes)\n" out_path (String.length rendered)
   in
   Cmd.v
     (Cmd.info "export"
        ~doc:"Render a trace's attributed spans as a Chrome trace-event \
              profile (round numbers as logical time) or as CSV.")
-    Term.(const run $ file_arg $ format_arg $ out_arg)
+    Term.(const run $ file_arg "JSONL trace file to export." $ format_arg
+          $ out_arg)
 
 and trace_sessions_cmd =
-  let file_arg =
-    Arg.(required & pos 0 (some file) None
-         & info [] ~docv:"FILE"
-             ~doc:"JSONL engine trace (from `serve`/`chaos run --trace`).")
-  in
   let run path =
     let events = load_trace path in
     match Span.sessions_of_events events with
@@ -1098,7 +995,8 @@ and trace_sessions_cmd =
              per session with its incarnations, restarts, kills, the \
              enumeration indices each restart resumed at, and the winning \
              candidate.")
-    Term.(const run $ file_arg)
+    Term.(const run
+          $ file_arg "JSONL engine trace (from `serve`/`chaos run --trace`).")
 
 let trace_cmd =
   Cmd.group
@@ -1127,7 +1025,7 @@ let top_cmd =
              ~doc:"Seconds between redraws when watching a --stats file.")
   in
   let refresh_arg =
-    Arg.(value & opt int 20
+    Arg.(value & opt non_negative 20
          & info [ "refresh-ticks" ] ~docv:"T"
              ~doc:"Scheduler ticks between redraws when serving the \
                    internal population.")
@@ -1142,55 +1040,39 @@ let top_cmd =
     Table.print (Rollup.table snap);
     flush stdout
   in
-  let watch_file path interval once =
-    let frame () =
-      match Goalcom_obs.Json.of_file path with
-      | Error e -> Error e
-      | Ok j -> Rollup.snapshot_of_json j
-    in
-    if once then (
-      match frame () with
-      | Ok snap -> draw ~clear:false snap
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          exit 1)
-    else
-      let rec loop () =
-        (match frame () with
-        | Ok snap -> draw ~clear:true snap
-        | Error e ->
-            print_string "\027[H\027[2J";
-            Printf.printf "goalcom top: waiting for %s (%s)\n%!" path e);
-        Unix.sleepf interval;
-        loop ()
-      in
-      loop ()
-  in
-  let serve_internal sessions refresh once seed jobs =
-    apply_jobs jobs;
-    let specs = E18_chaos_matrix.specs ~sessions () in
-    let class_of id = specs.(id).Session.Engine.server_class in
-    let rollup = Rollup.create ~clock:Unix.gettimeofday ~class_of () in
-    let on_supervise ~tick ~session ~action ~detail =
-      Rollup.supervise rollup ~tick ~session ~action ~detail
-    in
-    let on_tick ~tick =
-      if (not once) && refresh > 0 && tick mod refresh = 0 then
-        draw ~clear:true (Rollup.snapshot rollup)
-    in
-    let report =
-      Session.Engine.run
-        ~config:(Session.Engine.config ~max_live:64 ())
-        ~on_supervise ~on_tick ~specs ~seed ()
-    in
-    draw ~clear:(not once) (Rollup.snapshot rollup);
-    Printf.printf "completed %d/%d, digest %s\n" report.Session.Engine.completed
-      (Array.length specs) report.Session.Engine.digest
-  in
   let run stats sessions interval refresh once seed jobs =
     match stats with
-    | Some path -> watch_file path interval once
-    | None -> serve_internal sessions refresh once seed jobs
+    | Some path ->
+        let frame () =
+          Result.bind (Goalcom_obs.Json.of_file path) Rollup.snapshot_of_json
+        in
+        if once then draw ~clear:false (or_exit (frame ()))
+        else
+          while true do
+            (match frame () with
+            | Ok snap -> draw ~clear:true snap
+            | Error e ->
+                print_string "\027[H\027[2J";
+                Printf.printf "goalcom top: waiting for %s (%s)\n%!" path e);
+            Unix.sleepf interval
+          done
+    | None ->
+        apply_jobs jobs;
+        let specs = E18_chaos_matrix.specs ~sessions () in
+        let rollup, on_supervise = live_rollup specs in
+        let on_tick ~tick =
+          if (not once) && refresh > 0 && tick mod refresh = 0 then
+            draw ~clear:true (Rollup.snapshot rollup)
+        in
+        let report =
+          Session.Engine.run
+            ~config:(Session.Engine.config ~max_live:64 ())
+            ~on_supervise ~on_tick ~specs ~seed ()
+        in
+        draw ~clear:(not once) (Rollup.snapshot rollup);
+        Printf.printf "completed %d/%d, digest %s\n"
+          report.Session.Engine.completed (Array.length specs)
+          report.Session.Engine.digest
   in
   Cmd.v
     (Cmd.info "top"

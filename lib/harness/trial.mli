@@ -2,7 +2,9 @@
 
     Every experiment reduces to "pair this user with that server on this
     goal, run [n] trials, report success rate and rounds-to-success";
-    this module is that reduction. *)
+    this module is that reduction.  It aggregates outcomes only: event
+    counts and timings come from whatever trace sink the caller passes
+    (e.g. [Goalcom_obs.Metrics.sink]). *)
 
 open Goalcom
 
@@ -19,16 +21,12 @@ type result = {
       (** trials where the user halted yet the referee rejects — a
           sensing-safety violation (finite goals; always 0 when sensing
           is safe) *)
-  metrics : Goalcom_obs.Metrics.summary option;
-      (** aggregated over all trials; [Some] iff [collect_metrics] *)
 }
 
 val run :
   ?config:Exec.config ->
   ?tail_window:int ->
   ?sink:Trace.sink ->
-  ?collect_metrics:bool ->
-  ?clock:(unit -> float) ->
   trials:int ->
   seed:int ->
   goal:Goal.t ->
@@ -41,10 +39,8 @@ val run :
     (so non-deterministic worlds are cycled).
 
     [?sink] is installed as the ambient trace sink for the whole batch,
-    so one stream carries every trial's events.  [?collect_metrics]
-    additionally aggregates a {!Goalcom_obs.Metrics.summary} into the
-    result (teeing with [?sink] if both are given); [?clock] enables
-    its per-round timing.
+    so one stream carries every trial's events; to meter a batch, pass
+    [Goalcom_obs.Metrics.sink m] here.
     @raise Invalid_argument if [trials <= 0] (message names the entry
     point and the offending value). *)
 
@@ -52,8 +48,6 @@ val run_par :
   ?config:Exec.config ->
   ?tail_window:int ->
   ?sink:Trace.sink ->
-  ?collect_metrics:bool ->
-  ?clock:(unit -> float) ->
   ?jobs:int ->
   ?pool:Goalcom_par.Pool.t ->
   trials:int ->
@@ -68,12 +62,9 @@ val run_par :
     in trial order (the exact sequence {!run} consumes), outcomes are
     aggregated in trial order, and each trial's trace events are
     buffered on the executing domain and replayed to [?sink] in trial
-    order, so the merged stream equals the sequential one.  The only
-    sanctioned divergence is [metrics.round_timing] when [?clock] is
-    given: durations are measured on the executing domain (replay
-    timing would be garbage), so wall-clock figures differ run to run
-    exactly as two sequential runs' would; without [?clock] the metrics
-    summary is equal field-for-field.
+    order, so the merged stream equals the sequential one (a clockless
+    [Metrics] sink sees the same counters; a clocked one would time
+    the replay, not the trials).
 
     Width is [?pool] (reused across calls, takes precedence), else
     [?jobs], else [Pool.default_jobs] ([--jobs] / [GOALCOM_JOBS], 1 by

@@ -10,25 +10,14 @@ type entry = {
 }
 
 (* Same hand-rolled JSONL discipline as lib/obs: a closed, flat record
-   per line, written with the Jsonl escaper and read back through the
+   per line, written with the Json escaper and read back through the
    Json reader, so `jq` and the trace tooling both take these files. *)
 
 let entry_to_json e =
   let b = Buffer.create 96 in
   let add_str s =
     Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
+    Json.add_escaped b s;
     Buffer.add_char b '"'
   in
   Buffer.add_string b "{\"class\":";

@@ -167,15 +167,12 @@ let parse (s : string) : (t, string) result =
   | exception Parse msg -> Error msg
 
 let of_file path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match parse contents with
-  | Ok v -> Ok v
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | contents -> (
+      match parse contents with
+      | Ok v -> Ok v
+      | Error e -> Error (Printf.sprintf "%s: %s" path e))
 
 let member key = function
   | Obj kvs -> List.assoc_opt key kvs

@@ -19,7 +19,8 @@ val parse : string -> (t, string) result
     them for control characters) and error beyond [ÿ]. *)
 
 val of_file : string -> (t, string) result
-(** {!parse} the whole file; errors are prefixed with the path. *)
+(** {!parse} the whole file; errors are prefixed with the path.  A file
+    that cannot be read (missing, a directory) is an [Error] too. *)
 
 (** {1 Accessors} — shape probes returning [None] on mismatch. *)
 

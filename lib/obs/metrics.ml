@@ -17,22 +17,9 @@ type timing = {
   mean_s : float;
   min_s : float;
   max_s : float;
-  buckets : int array;
+  p50_ns : int;
+  p99_ns : int;
 }
-
-(* Round durations land in log10 buckets: <1µs, <10µs, ..., <1s, ≥1s. *)
-let num_buckets = 8
-
-let bucket_of_duration d =
-  let rec go i lim = if i >= num_buckets - 1 || d < lim then i else go (i + 1) (lim *. 10.) in
-  go 0 1e-6
-
-let bucket_label i =
-  if i >= num_buckets - 1 then ">=100ms"
-  else begin
-    let labels = [| "<1us"; "<10us"; "<100us"; "<1ms"; "<10ms"; "<100ms" |] in
-    if i < Array.length labels then labels.(i) else "<1s"
-  end
 
 type summary = {
   runs : int;
@@ -75,7 +62,7 @@ type t = {
   mutable time_total : float;
   mutable time_min : float;
   mutable time_max : float;
-  buckets : int array;
+  round_ns : Rollup.Hist.t;
 }
 
 let create ?clock () =
@@ -101,7 +88,7 @@ let create ?clock () =
     time_total = 0.;
     time_min = infinity;
     time_max = neg_infinity;
-    buckets = Array.make num_buckets 0;
+    round_ns = Rollup.Hist.create ();
   }
 
 let close_round t now =
@@ -111,8 +98,7 @@ let close_round t now =
     t.time_total <- t.time_total +. d;
     if d < t.time_min then t.time_min <- d;
     if d > t.time_max then t.time_max <- d;
-    let b = bucket_of_duration d in
-    t.buckets.(b) <- t.buckets.(b) + 1;
+    Rollup.Hist.add t.round_ns (int_of_float (d *. 1e9));
     t.round_open <- false
   end
 
@@ -158,31 +144,6 @@ let observe t (ev : Trace.event) =
 
 let sink t = observe t
 
-(* Counters are all additive, so absorbing a quiescent meter is a sum;
-   timing combines totals and extremes.  Any round still open in [src]
-   (its trace ended without Run_end) is dropped, same as [summary]
-   would drop it. *)
-let merge ~into:dst src =
-  dst.runs <- dst.runs + src.runs;
-  dst.rounds <- dst.rounds + src.rounds;
-  dst.halts <- dst.halts + src.halts;
-  dst.user_msgs <- dst.user_msgs + src.user_msgs;
-  dst.server_msgs <- dst.server_msgs + src.server_msgs;
-  dst.world_msgs <- dst.world_msgs + src.world_msgs;
-  dst.wire_symbols <- dst.wire_symbols + src.wire_symbols;
-  dst.senses <- dst.senses + src.senses;
-  dst.negatives <- dst.negatives + src.negatives;
-  dst.switches <- dst.switches + src.switches;
-  dst.resumes <- dst.resumes + src.resumes;
-  dst.sessions <- dst.sessions + src.sessions;
-  dst.faults <- dst.faults + src.faults;
-  dst.violations <- dst.violations + src.violations;
-  dst.timed <- dst.timed + src.timed;
-  dst.time_total <- dst.time_total +. src.time_total;
-  if src.time_min < dst.time_min then dst.time_min <- src.time_min;
-  if src.time_max > dst.time_max then dst.time_max <- src.time_max;
-  Array.iteri (fun i n -> dst.buckets.(i) <- dst.buckets.(i) + n) src.buckets
-
 let summary t =
   {
     runs = t.runs;
@@ -209,7 +170,8 @@ let summary t =
              mean_s = t.time_total /. float_of_int t.timed;
              min_s = t.time_min;
              max_s = t.time_max;
-             buckets = Array.copy t.buckets;
+             p50_ns = Rollup.Hist.percentile 50. t.round_ns;
+             p99_ns = Rollup.Hist.percentile 99. t.round_ns;
            });
   }
 
@@ -244,6 +206,8 @@ let to_table (s : summary) =
         ("round mean", Printf.sprintf "%.2fus" (tm.mean_s *. 1e6));
         ("round min", Printf.sprintf "%.2fus" (tm.min_s *. 1e6));
         ("round max", Printf.sprintf "%.2fus" (tm.max_s *. 1e6));
+        ("round p50", Printf.sprintf "%.2fus" (float_of_int tm.p50_ns /. 1e3));
+        ("round p99", Printf.sprintf "%.2fus" (float_of_int tm.p99_ns /. 1e3));
       ]
 
 let pp ppf (s : summary) =
@@ -257,12 +221,4 @@ let pp ppf (s : summary) =
       if i > 0 then Format.fprintf ppf "@,";
       Format.fprintf ppf "%-*s %s" width k v)
     rows;
-  (match s.round_timing with
-  | Some tm when tm.timed > 0 ->
-      Format.fprintf ppf "@,%-*s " width "round histo";
-      Array.iteri
-        (fun i n ->
-          if n > 0 then Format.fprintf ppf "%s:%d " (bucket_label i) n)
-        tm.buckets
-  | _ -> ());
   Format.fprintf ppf "@]"

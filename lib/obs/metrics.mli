@@ -4,14 +4,19 @@
     {!summary} snapshots it into an immutable record.  Counters cover
     message traffic per party, symbols on the wire, sensing verdicts,
     enumeration switches/sessions/resumes, fault activations, referee
-    violations — plus an optional per-round wall-clock histogram.
+    violations — plus an optional per-round wall-clock timing whose
+    percentiles come from a {!Rollup.Hist} of round durations in
+    integer nanoseconds (the same histogram the session rollups use).
 
     Timing is out-of-band by design: trace events carry no stamps (they
     must be bit-identical across runs of the same seed), so durations
     are measured here, between [Round_start] events, with a caller-
     supplied clock.  Pass [Unix.gettimeofday] (or any monotonic float
     clock) as [?clock] to enable timing; without it the aggregation is
-    pure counting and fully deterministic. *)
+    pure counting and fully deterministic.  To meter a batch of trials,
+    pass [sink t] to [Trial.run]/[Trial.run_par] as their [?sink]: the
+    parallel runner replays every trial's events in trial order, so the
+    counters equal a sequential run's. *)
 
 open Goalcom
 
@@ -19,18 +24,18 @@ val msg_weight : Msg.t -> int
 (** Symbols-on-the-wire weight: [Sym]/[Int] count 1, [Text] its length,
     [Silence] 0, containers the sum of their parts. *)
 
-(** Per-round wall-clock statistics (seconds). *)
+(** Per-round wall-clock statistics (seconds; percentiles in ns). *)
 type timing = {
   timed : int;  (** rounds with a measured duration *)
   total_s : float;
   mean_s : float;
   min_s : float;
   max_s : float;
-  buckets : int array;  (** log10 histogram; see {!bucket_label} *)
+  p50_ns : int;
+      (** median round duration: the upper bound of its histogram bucket,
+          so within 1/32 above the true value (it can exceed [max_s]) *)
+  p99_ns : int;
 }
-
-val bucket_label : int -> string
-(** Human label of histogram bucket [i]: ["<1us"], ["<10us"], ... *)
 
 type summary = {
   runs : int;
@@ -64,16 +69,6 @@ val sink : t -> Trace.sink
 
 val summary : t -> summary
 (** Snapshot; the counters keep accumulating afterwards. *)
-
-val merge : into:t -> t -> unit
-(** [merge ~into:dst src] adds [src]'s counters and timing into [dst].
-    [src] must be quiescent (no further [observe] calls expected; any
-    still-open round is dropped, as {!summary} would).  This is how the
-    parallel trial runner combines per-domain meters: each trial feeds
-    its own meter (so timing is measured on the executing domain, not
-    under replay) and the meters are merged in trial order — clockless
-    merging is exactly equivalent to sequential shared observation,
-    because every counter is additive. *)
 
 val of_events : Trace.event list -> summary
 (** Aggregate a recorded trace (clockless, so [round_timing = None]). *)

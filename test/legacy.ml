@@ -13,6 +13,13 @@
 open Goalcom
 open Goalcom_prelude
 
+(* --- round lists --- *)
+
+(* A history's rounds as a chronological list: the accessor the library
+   dropped in favour of [History.fold_rounds]/[iter_rounds]. *)
+let rounds h =
+  List.rev (History.fold_rounds h ~init:[] ~f:(fun acc r -> r :: acc))
+
 (* --- whole views --- *)
 
 (* The user's view as a value: events most recent first, so extension

@@ -278,7 +278,7 @@ let prop_fault_runs_deterministic =
         faulted_printing_run ~spec ~dialect_idx:(seed mod alphabet) ~seed
           ~horizon:200
       in
-      History.rounds (run ()) = History.rounds (run ()))
+      Legacy.rounds (run ()) = Legacy.rounds (run ()))
 
 let identity_specs =
   [ "nop"; "delay:0"; "drop:0.0"; "corrupt:0.0"; "reorder:0"; "intermittent:9,0" ]
@@ -296,7 +296,7 @@ let prop_identity_faults_are_noops =
         faulted_printing_run ~spec ~dialect_idx:(seed mod alphabet) ~seed
           ~horizon:200
       in
-      History.rounds bare = History.rounds wrapped)
+      Legacy.rounds bare = Legacy.rounds wrapped)
 
 (* Checkpointed enumeration: crash-tolerant universal users *)
 

@@ -79,30 +79,47 @@ let test_trial_success_rate () =
   in
   Alcotest.(check (float 1e-9)) "always succeeds" 1.0 rate
 
+(* A Metrics sink fed through Trial.run counts the whole batch; with a
+   clock, every round lands in its duration histogram. *)
 let test_trial_metrics () =
+  let module Metrics = Goalcom_obs.Metrics in
+  let m = Metrics.create () in
   let r =
-    Trial.run ~config ~collect_metrics:true ~trials:3 ~seed:5 ~goal
+    Trial.run ~config ~sink:(Metrics.sink m) ~trials:3 ~seed:5 ~goal
       ~user:winner ~server:idle_server ()
   in
-  match r.Trial.metrics with
-  | None -> Alcotest.fail "metrics requested but absent"
-  | Some m ->
-      Alcotest.(check int) "one run per trial" 3 m.Goalcom_obs.Metrics.runs;
-      Alcotest.(check int) "halt per trial" 3 m.Goalcom_obs.Metrics.halts;
-      Alcotest.(check bool) "rounds counted" true
-        (m.Goalcom_obs.Metrics.rounds > 0);
-      Alcotest.(check bool) "user spoke" true
-        (m.Goalcom_obs.Metrics.user_msgs > 0);
-      Alcotest.(check bool) "clockless => no timing" true
-        (m.Goalcom_obs.Metrics.round_timing = None);
-      let plain =
-        Trial.run ~config ~trials:3 ~seed:5 ~goal ~user:winner
-          ~server:idle_server ()
-      in
-      Alcotest.(check bool) "no metrics by default" true
-        (plain.Trial.metrics = None);
-      Alcotest.(check int) "metrics don't perturb the run" plain.Trial.successes
-        r.Trial.successes
+  let s = Metrics.summary m in
+  Alcotest.(check int) "one run per trial" 3 s.Metrics.runs;
+  Alcotest.(check int) "halt per trial" 3 s.Metrics.halts;
+  Alcotest.(check bool) "rounds counted" true (s.Metrics.rounds > 0);
+  Alcotest.(check bool) "user spoke" true (s.Metrics.user_msgs > 0);
+  Alcotest.(check bool) "clockless => no timing" true
+    (s.Metrics.round_timing = None);
+  let plain =
+    Trial.run ~config ~trials:3 ~seed:5 ~goal ~user:winner ~server:idle_server
+      ()
+  in
+  Alcotest.(check int) "metrics don't perturb the run" plain.Trial.successes
+    r.Trial.successes;
+  (* A fake clock ticking 2^-20 s per reading: every round lasts exactly
+     that long, so the histogram's percentiles are exact. *)
+  let now = ref 0. in
+  let clock () =
+    now := !now +. ldexp 1. (-20);
+    !now
+  in
+  let timed = Metrics.create ~clock () in
+  ignore
+    (Trial.run ~config ~sink:(Metrics.sink timed) ~trials:3 ~seed:5 ~goal
+       ~user:winner ~server:idle_server ());
+  match (Metrics.summary timed).Metrics.round_timing with
+  | None -> Alcotest.fail "clocked meter reported no timing"
+  | Some tm ->
+      let ns = int_of_float (ldexp 1e9 (-20)) in
+      let q = Goalcom_obs.Rollup.Hist.(upper_of (bucket_of ns)) in
+      Alcotest.(check int) "every round timed" s.Metrics.rounds tm.Metrics.timed;
+      Alcotest.(check int) "p50 from the histogram" q tm.Metrics.p50_ns;
+      Alcotest.(check int) "p99 from the histogram" q tm.Metrics.p99_ns
 
 let test_trial_validation () =
   Alcotest.check_raises "trials"

@@ -431,9 +431,9 @@ let prop_history_length_prefix =
     (QCheck.make QCheck.Gen.(pair history_gen (int_bound 32)))
     (fun (h, n) ->
       let p = History.prefix n h in
-      History.length h = List.length (History.rounds h)
-      && History.rounds p = Listx.take n (History.rounds h)
-      && History.length p = List.length (History.rounds p))
+      History.length h = List.length (Legacy.rounds h)
+      && Legacy.rounds p = Listx.take n (Legacy.rounds h)
+      && History.length p = List.length (Legacy.rounds p))
 
 (* --- the judging fold vs the whole-history judgement it replaced --- *)
 
@@ -696,7 +696,7 @@ let live_run ~config ~goal ~user ~server ~between seed =
 
 let same_history a b =
   Msg.equal (History.initial_world_view a) (History.initial_world_view b)
-  && History.rounds a = History.rounds b
+  && Legacy.rounds a = Legacy.rounds b
 
 let test_fold_every_family () =
   List.iter

@@ -241,7 +241,7 @@ let prop_live_judge_eq_old_world =
       let h = run goal and h_old = run old_goal in
       Multi_session.session_results h = Multi_session.session_results h_old
       && List.equal Msg.equal (History.world_views h) (History.world_views h_old)
-      && History.rounds h = History.rounds h_old)
+      && Legacy.rounds h = Legacy.rounds h_old)
 
 let () =
   Alcotest.run "multi_session"

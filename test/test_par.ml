@@ -1,9 +1,10 @@
 (* Tests for lib/par and the parallel entry points built on it:
    pool internals (work stealing, exception propagation, reuse),
    Trial.run_par's bit-identical contract (qcheck, field for field),
-   the domain-local trace-sink guard, Metrics.merge, merged parallel
-   traces against Trace's invariants, and the Levin racer's winner
-   agreement with the sequential universal construction. *)
+   the domain-local trace-sink guard, metrics over a parallel batch,
+   merged parallel traces against Trace's invariants, and the Levin
+   racer's winner agreement with the sequential universal
+   construction. *)
 
 open Goalcom
 open Goalcom_prelude
@@ -147,17 +148,20 @@ let prop_run_par_matches_run =
         [ 1; 2; 4; 8 ])
 
 let test_run_par_metrics () =
+  let module Metrics = Goalcom_obs.Metrics in
+  let m_seq = Metrics.create () and m_par = Metrics.create () in
   let seq =
-    Trial.run ~config ~collect_metrics:true ~trials:6 ~seed:5 ~goal ~user:flaky
-      ~server:idle_server ()
+    Trial.run ~config ~sink:(Metrics.sink m_seq) ~trials:6 ~seed:5 ~goal
+      ~user:flaky ~server:idle_server ()
   in
   let par =
-    Trial.run_par ~config ~collect_metrics:true ~jobs:4 ~trials:6 ~seed:5 ~goal
-      ~user:flaky ~server:idle_server ()
+    Trial.run_par ~config ~sink:(Metrics.sink m_par) ~jobs:4 ~trials:6 ~seed:5
+      ~goal ~user:flaky ~server:idle_server ()
   in
   Alcotest.(check bool) "results equal" true (Trial.equal seq par);
   Alcotest.(check bool) "clockless metrics equal" true
-    (seq.Trial.metrics = par.Trial.metrics && seq.Trial.metrics <> None)
+    (Metrics.summary m_seq = Metrics.summary m_par
+    && (Metrics.summary m_seq).Metrics.runs = 6)
 
 let test_run_par_pool_reuse () =
   Pool.with_pool ~jobs:3 (fun pool ->
@@ -217,25 +221,33 @@ let test_sink_guard () =
   Trace.set_sink (Some Trace.null);
   Trace.set_sink None
 
-(* --- Metrics.merge ------------------------------------------------- *)
+(* --- metrics over a parallel batch ----------------------------------- *)
 
+(* One meter fed by the trials' own Exec.run_outcome calls, one after
+   another, equals one meter fed through Trial.run_par's in-order
+   replay across four domains: the per-domain events merge back into a
+   single stream. *)
 let test_metrics_merge () =
   let module Metrics = Goalcom_obs.Metrics in
-  let run_into m seed =
+  let trials = 6 and seed = 5 in
+  let sequential = Metrics.create () in
+  let master = Rng.make seed in
+  for i = 0 to trials - 1 do
+    let rng = Rng.split master in
+    let config =
+      { config with Exec.world_choice = i mod Goal.num_worlds goal }
+    in
     ignore
-      (Exec.run ~sink:(Metrics.sink m) ~config ~goal ~user:flaky
-         ~server:idle_server (Rng.make seed))
-  in
-  let combined = Metrics.create () in
-  run_into combined 1;
-  run_into combined 2;
-  let a = Metrics.create () in
-  let b = Metrics.create () in
-  run_into a 1;
-  run_into b 2;
-  Metrics.merge ~into:a b;
-  Alcotest.(check bool) "merge = shared observation (clockless)" true
-    (Metrics.summary a = Metrics.summary combined)
+      (Exec.run_outcome ~sink:(Metrics.sink sequential) ~config ~goal
+         ~user:flaky ~server:idle_server rng)
+  done;
+  let merged = Metrics.create () in
+  ignore
+    (Trial.run_par ~config ~sink:(Metrics.sink merged) ~jobs:4 ~trials ~seed
+       ~goal ~user:flaky ~server:idle_server ());
+  Alcotest.(check bool) "merged replay = per-trial observation (clockless)"
+    true
+    (Metrics.summary merged = Metrics.summary sequential)
 
 (* --- merged parallel traces ---------------------------------------- *)
 

@@ -311,6 +311,36 @@ let test_rollup_json_roundtrip () =
           Alcotest.(check string) "re-rendered snapshot" json
             (Rollup.to_json snap))
 
+(* Class names are arbitrary bytes (a --class-weights name, a server
+   class): the JSON a running serve writes must read back through
+   [Json.parse] for `goalcom top`, whatever the name holds. *)
+let prop_rollup_json_class_names =
+  QCheck.Test.make ~count:qcount
+    ~name:"Rollup: snapshot JSON roundtrips arbitrary class names"
+    (QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) raw_string_gen)
+    (fun cls ->
+      let stats (cls : string) : Rollup.class_stats =
+        {
+          cls; admitted = 3; shed = 1; started = 3; restarts = 0;
+          completed = 2; failed = 0; gave_up = 0; deadlines = 0; wedges = 0;
+          kills = 0; trips = 0; delivered = 0; collisions = 0;
+        }
+      in
+      let snap : Rollup.snapshot =
+        {
+          ticks = 7; classes = [ stats cls ]; totals = stats "total";
+          latency_p50 = 1; latency_p99 = 2; latency_p999 = 2; rounds_p50 = 5;
+          rounds_p99 = 9; rounds_p999 = 9; rounds_total = 14; wall_s = None;
+          sessions_per_sec = None;
+        }
+      in
+      match Json.parse (Rollup.to_json snap) with
+      | Error e -> QCheck.Test.fail_reportf "Json.parse: %s" e
+      | Ok j -> (
+          match Rollup.snapshot_of_json j with
+          | Error e -> QCheck.Test.fail_reportf "snapshot_of_json: %s" e
+          | Ok back -> back = snap))
+
 (* Histogram edges: exact unit buckets below 64, bounded relative error
    above, deterministic merge. *)
 let test_hist_edges () =
@@ -367,6 +397,7 @@ let suite =
       test_rollup_merge_matches_single_stream;
     Alcotest.test_case "rollup json roundtrip" `Quick
       test_rollup_json_roundtrip;
+    QCheck_alcotest.to_alcotest prop_rollup_json_class_names;
     Alcotest.test_case "histogram edges" `Quick test_hist_edges;
     Alcotest.test_case "stats golden snapshot" `Quick test_stats_golden;
   ]
