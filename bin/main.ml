@@ -569,7 +569,7 @@ let live_rollup specs =
    end; a .prom path writes the same to a file; any other path gets a
    JSON snapshot rewritten atomically every --stats-every ticks (and at
    the end) for `goalcom top` to watch.  Returns the engine hooks and
-   the end-of-run report. *)
+   the step that writes the final stats. *)
 let live_stats sv specs =
   match sv.stats with
   | None -> (None, None, ignore)
